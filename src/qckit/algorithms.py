@@ -12,9 +12,9 @@ from fractions import Fraction
 import numpy as np
 
 from qckit.circuit import NAMED, UNITARY, Circuit, GateApp, ORACLE, simulate
-from qckit.errors import CapacityError, DimensionError, QckitError
+from qckit.errors import CapacityError, DimensionError
 from qckit.oracle import Oracle, QueryCounter
-from qckit.state import StateVector, measure_qubit, new_zero_state
+from qckit.state import _probability_of_one, new_zero_state
 
 MAX_QFT_QUBITS = 12
 MAX_SHOR_N = 32
@@ -245,18 +245,17 @@ def decide_bounded_error(
 ) -> BoundedErrorVerdict:
     """Majority vote over independent seeded measurements of accept_qubit.
 
-    The circuit is unitary-only and therefore deterministic, so it is
-    prepared once and measured `runs` times with split seeds; this is
-    observationally identical to rerunning the whole simulation per vote.
+    The circuit is unitary-only and therefore deterministic, so P(accept)
+    is computed once and each vote draws its bit from a split seed as
+    `measure_qubit` would; this is observationally identical to rerunning
+    the whole simulation and measurement per vote.
     """
     if runs < 1 or runs % 2 == 0:
         raise DimensionError(f"runs must be odd and >= 1, got {runs}")
     final = simulate(circuit, oracle_table=oracle_table)
+    p1 = _probability_of_one(final, accept_qubit)
     seeds = np.random.SeedSequence(rng_seed).spawn(runs)
-    ones = 0
-    for seed in seeds:
-        bit, _ = measure_qubit(final, accept_qubit, seed)
-        ones += bit
+    ones = sum(np.random.default_rng(seed).random() < p1 for seed in seeds)
     return BoundedErrorVerdict(ones * 2 > runs, runs, ones / runs)
 
 

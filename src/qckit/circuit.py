@@ -12,6 +12,11 @@ with '#', blank lines are ignored. The `unitary` line carries a raw core
 matrix (row-major re/im pairs) on the non-control targets; it exists so
 compiled circuits, which use multi-controlled single-qubit primitives,
 serialize losslessly.
+
+Every gate but an oracle is simulated as its core matrix on the slice of
+the state where its controls, the leading targets, are all 1.
+`circuit_unitary` is one simulation on a doubled register holding
+sum_j |j>|j>.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from qckit.errors import (
     DimensionError,
     ParseError,
     UnresolvedOracleError,
+    at_line,
 )
-from qckit.gates import GATE_ARITY, PARAMETRIC, controlled, standard_gate_matrix
+from qckit.gates import gate_core
 from qckit.oracle import Oracle, QueryCounter, apply_oracle
-from qckit.state import StateVector, apply_unitary, basis_state, new_zero_state
+from qckit.state import GATE_NORM_TOL, StateVector, apply_unitary, new_zero_state
 
 MAX_UNITARY_QUBITS = 10  # circuit_unitary cap (1M-entry matrices)
 
@@ -54,23 +60,8 @@ class GateApp:
             raise DimensionError(f"unknown gate kind {self.kind!r}")
         if self.param is not None:
             self.param = float(self.param)
-            if not np.isfinite(self.param):
-                raise DimensionError("gate angle must be finite")
         if self.kind == NAMED:
-            arity = GATE_ARITY.get(self.name)
-            if self.name not in GATE_ARITY:
-                raise DimensionError(f"unknown gate {self.name!r}")
-            if arity is not None and len(self.targets) != arity:
-                raise DimensionError(
-                    f"gate {self.name!r} expects {arity} targets, "
-                    f"got {len(self.targets)}"
-                )
-            if self.name == "mcx" and len(self.targets) < 2:
-                raise DimensionError("mcx requires at least 2 targets")
-            if (self.name in PARAMETRIC) != (self.param is not None):
-                raise DimensionError(
-                    f"gate {self.name!r}: parameter mismatch"
-                )
+            gate_core(self.name, self.param, len(self.targets))
         elif self.kind == ORACLE:
             if len(self.targets) < 2:
                 raise DimensionError(
@@ -79,14 +70,17 @@ class GateApp:
         else:
             self.matrix = np.asarray(self.matrix, dtype=np.complex128)
             core_qubits = len(self.targets) - self.n_controls
-            if core_qubits < 1:
-                raise DimensionError("raw unitary needs a non-control target")
+            if self.n_controls < 0 or core_qubits < 1:
+                raise DimensionError(f"bad control count {self.n_controls}")
             dim = 2 ** core_qubits
             if self.matrix.shape != (dim, dim):
                 raise DimensionError(
                     f"raw matrix shape {self.matrix.shape} does not match "
                     f"{core_qubits} non-control targets"
                 )
+            gram = self.matrix.conj().T @ self.matrix
+            if not np.max(np.abs(gram - np.eye(dim))) <= GATE_NORM_TOL:
+                raise DimensionError("raw matrix is not unitary")
 
     def __eq__(self, other):
         if not isinstance(other, GateApp):
@@ -98,35 +92,6 @@ class GateApp:
         if (self.matrix is None) != (other.matrix is None):
             return False
         return self.matrix is None or np.array_equal(self.matrix, other.matrix)
-
-    def effective_matrix(self, oracle_table=None) -> np.ndarray:
-        """Full matrix on this gate's targets (controls expanded)."""
-        if self.kind == NAMED:
-            return standard_gate_matrix(
-                self.name, self.param, arity=len(self.targets)
-            )
-        if self.kind == UNITARY:
-            if self.n_controls:
-                return controlled_embed(self.matrix, self.n_controls)
-            return self.matrix
-        oracle = (oracle_table or {}).get(self.name)
-        if oracle is None:
-            raise UnresolvedOracleError(
-                f"oracle {self.name!r} has no binding"
-            )
-        from qckit.oracle import oracle_gate
-
-        return oracle_gate(oracle)
-
-
-def controlled_embed(core: np.ndarray, n_controls: int) -> np.ndarray:
-    """Embed a core matrix controlled on n_controls leading qubits."""
-    dim_core = core.shape[0]
-    dim = dim_core * 2 ** n_controls
-    m = np.eye(dim, dtype=np.complex128)
-    m[dim - dim_core:, dim - dim_core:] = core
-    return m
-
 
 @dataclass
 class Circuit:
@@ -185,29 +150,30 @@ def simulate(
                 state, oracle, list(op.targets[:-1]), op.targets[-1],
                 counter=counter,
             )
+            continue
+        if op.kind == NAMED:
+            core, nc = gate_core(op.name, op.param, len(op.targets))
         else:
-            state = apply_unitary(
-                state, op.effective_matrix(), list(op.targets)
-            )
+            core, nc = op.matrix, op.n_controls
+        state = apply_unitary(state, core, op.targets[nc:], op.targets[:nc])
     return state
 
 
 def circuit_unitary(
     circuit: Circuit, oracle_table: dict[str, Oracle] | None = None
 ) -> np.ndarray:
-    """Full 2^n x 2^n matrix of the circuit, column by basis column."""
-    if circuit.n_qubits > MAX_UNITARY_QUBITS:
+    """Full 2^n x 2^n matrix of the circuit from one simulation: run on
+    the first n of 2n qubits holding the unnormalized sum_j |j>|j>, the
+    register's amplitude (i, j) becomes U[i, j]."""
+    n = circuit.n_qubits
+    if n > MAX_UNITARY_QUBITS:
         raise CapacityError(
             f"circuit_unitary capped at {MAX_UNITARY_QUBITS} qubits"
         )
-    dim = 2 ** circuit.n_qubits
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for j in range(dim):
-        col = simulate(
-            circuit, basis_state(circuit.n_qubits, j), oracle_table
-        )
-        m[:, j] = col.amps
-    return m
+    dim = 2 ** n
+    doubled = Circuit(2 * n, circuit.ops)
+    identity = StateVector(2 * n, np.eye(dim).reshape(-1))
+    return simulate(doubled, identity, oracle_table).amps.reshape(dim, dim)
 
 
 def _parse_float(tok: str, lineno: int) -> float:
@@ -289,15 +255,14 @@ def parse_circuit(text: str) -> Circuit:
                 )
             re = np.array(vals[0::2]).reshape(dim, dim)
             im = np.array(vals[1::2]).reshape(dim, dim)
-            ops.append(
-                GateApp(
-                    UNITARY, targets, matrix=re + 1j * im,
-                    n_controls=n_controls,
+            with at_line(lineno):
+                ops.append(
+                    GateApp(
+                        UNITARY, targets, matrix=re + 1j * im,
+                        n_controls=n_controls,
+                    )
                 )
-            )
             continue
-        if head not in GATE_ARITY:
-            raise ParseError(lineno, f"unknown gate {head!r}")
         param = None
         rest = toks[1:]
         if rest and rest[0] == "(":
@@ -305,21 +270,9 @@ def parse_circuit(text: str) -> Circuit:
                 raise ParseError(lineno, "malformed angle '( x )'")
             param = _parse_float(rest[1], lineno)
             rest = rest[3:]
-        if (head in PARAMETRIC) != (param is not None):
-            raise ParseError(
-                lineno,
-                f"gate {head!r} {'requires' if head in PARAMETRIC else 'takes no'} angle",
-            )
         targets = _parse_targets(rest, n_qubits, lineno)
-        arity = GATE_ARITY[head]
-        if arity is not None and len(targets) != arity:
-            raise ParseError(
-                lineno,
-                f"gate {head!r} expects {arity} targets, got {len(targets)}",
-            )
-        if head == "mcx" and len(targets) < 2:
-            raise ParseError(lineno, "mcx requires at least 2 targets")
-        ops.append(GateApp(NAMED, targets, name=head, param=param))
+        with at_line(lineno):
+            ops.append(GateApp(NAMED, targets, name=head, param=param))
 
     if n_qubits is None:
         raise ParseError(1, "missing 'qubits N' header")

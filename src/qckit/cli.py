@@ -46,11 +46,14 @@ def _parse_oracle_bindings(pairs: list[str]) -> dict:
 
 
 def cmd_run(args, started: float) -> int:
+    if args.shots < 0:
+        raise QckitError(f"--shots must be >= 0, got {args.shots}")
     with open(args.circuit, encoding="utf-8") as f:
         circuit = parse_circuit(f.read())
     oracle_table = _parse_oracle_bindings(args.oracle)
     counter = QueryCounter()
     final = simulate(circuit, oracle_table=oracle_table, counter=counter)
+    final.check_normalized()
     probs = final.probabilities()
     probs = probs / probs.sum()
     counts: dict[str, int] = {}
@@ -241,6 +244,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise QckitError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args, started)
     except (QckitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -10,7 +10,7 @@ gates are terminal primitives; no further decomposition is attempted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,6 +232,8 @@ def compile_unitary(
     u: np.ndarray, tol: float = 1e-8, name: str = ""
 ) -> tuple[Circuit, CompilationReport]:
     """Compile a power-of-two unitary into a circuit and verify it."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise DimensionError(f"tolerance must be finite and > 0, got {tol}")
     dim = u.shape[0]
     n_qubits = int(np.log2(dim))
     factors = decompose_two_level(u, tol=min(tol, 1e-9))

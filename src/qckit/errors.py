@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the toolkit."""
 
+from contextlib import contextmanager
+
 
 class QckitError(Exception):
     """Base class for all toolkit errors."""
@@ -24,6 +26,15 @@ class ParseError(QckitError):
         super().__init__(f"line {line}: {message}")
         self.line = line
         self.message = message
+
+
+@contextmanager
+def at_line(line: int):
+    """Report a DimensionError raised in the block as a ParseError at line."""
+    try:
+        yield
+    except DimensionError as e:
+        raise ParseError(line, str(e)) from None
 
 
 class UnresolvedOracleError(QckitError):

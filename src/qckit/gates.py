@@ -1,4 +1,4 @@
-"""Standard gate matrices.
+"""Standard gate matrices, each a core matrix under leading controls.
 
 Multi-qubit gates follow the global big-endian convention: the first target
 qubit is the most significant bit of the gate's sub-index, so for `cx` the
@@ -23,10 +23,6 @@ _FIXED = {
     "t": np.array(
         [[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=np.complex128
     ),
-    "cx": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-        dtype=np.complex128,
-    ),
     "swap": np.array(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
         dtype=np.complex128,
@@ -41,45 +37,58 @@ GATE_ARITY: dict[str, int | None] = {
 
 PARAMETRIC = {"phase", "cphase"}
 
+# controlled gates: name -> (core gate, control count)
+_CONTROLLED = {"cx": ("x", 1), "ccx": ("x", 2), "cphase": ("phase", 1)}
+
 
 def controlled(core: np.ndarray, n_controls: int) -> np.ndarray:
-    """Embed a 2x2 core as a multi-controlled gate on n_controls+1 qubits.
+    """Dense matrix of `core` controlled on n_controls leading qubits.
 
-    The core acts on the last qubit when all control qubits are 1; identity
-    otherwise. With big-endian ordering this is identity except for the
-    bottom-right 2x2 block.
+    The core acts on the trailing qubits when all control qubits are 1;
+    identity otherwise. With big-endian ordering this is identity except
+    for the bottom-right core-sized block.
     """
-    dim = 2 ** (n_controls + 1)
+    dim_core = core.shape[0]
+    dim = dim_core * 2 ** n_controls
     m = np.eye(dim, dtype=np.complex128)
-    m[dim - 2:, dim - 2:] = core
+    m[dim - dim_core:, dim - dim_core:] = core
     return m
 
 
-def standard_gate_matrix(
+def gate_core(
     name: str, param: float | None = None, arity: int | None = None
-) -> np.ndarray:
-    """Matrix for a named gate; `arity` is required only for `mcx`."""
+) -> tuple[np.ndarray, int]:
+    """Validate a named gate; return (core matrix, number of controls).
+
+    The controls are the first targets and the core acts on the rest.
+    `arity`, the target count, is required only for `mcx`.
+    """
     if name not in GATE_ARITY:
         raise DimensionError(f"unknown gate {name!r}")
     if name in PARAMETRIC:
         if param is None:
             raise DimensionError(f"gate {name!r} requires an angle parameter")
+        if not np.isfinite(param):
+            raise DimensionError("gate angle must be finite")
     elif param is not None:
         raise DimensionError(f"gate {name!r} takes no parameter")
-
-    if name in _FIXED:
-        return _FIXED[name].copy()
-    if name == "phase":
-        return np.array(
-            [[1, 0], [0, np.exp(1j * param)]], dtype=np.complex128
+    if name == "mcx":
+        if arity is None or arity < 2:
+            raise DimensionError("mcx requires at least 2 targets")
+        return _FIXED["x"].copy(), arity - 1
+    if arity is not None and arity != GATE_ARITY[name]:
+        raise DimensionError(
+            f"gate {name!r} expects {GATE_ARITY[name]} targets, got {arity}"
         )
-    if name == "cphase":
-        return np.diag(
-            [1, 1, 1, np.exp(1j * param)]
-        ).astype(np.complex128)
-    if name == "ccx":
-        return controlled(_FIXED["x"], 2)
-    # mcx: variable arity
-    if arity is None or arity < 1:
-        raise DimensionError("mcx requires an explicit arity >= 1")
-    return controlled(_FIXED["x"], arity - 1)
+    name, n_controls = _CONTROLLED.get(name, (name, 0))
+    if name == "phase":
+        phase = np.exp(1j * param)
+        return np.array([[1, 0], [0, phase]], dtype=np.complex128), n_controls
+    return _FIXED[name].copy(), n_controls
+
+
+def standard_gate_matrix(
+    name: str, param: float | None = None, arity: int | None = None
+) -> np.ndarray:
+    """Dense matrix for a named gate; `arity` is required only for `mcx`."""
+    return controlled(*gate_core(name, param, arity))

@@ -13,7 +13,7 @@ byte-for-byte across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from qckit.errors import (
     ParseError,
     StateError,
     WellFormednessError,
+    at_line,
 )
 from qckit.oracle import Oracle, QueryCounter
 
@@ -60,23 +61,25 @@ class QTMDef:
             if name not in self.states:
                 raise DimensionError(f"undeclared state {name!r}")
         for (q, sym), branches in self.transitions.items():
-            if q not in self.states:
-                raise DimensionError(f"undeclared state {q!r}")
-            if sym not in self.alphabet:
-                raise DimensionError(f"undeclared symbol {sym!r}")
-            if q == self.final and q != self.initial:
-                raise DimensionError(
-                    "final state must have no outgoing transitions"
-                )
             for tr in branches:
-                if tr.state not in self.states:
-                    raise DimensionError(f"undeclared state {tr.state!r}")
-                if tr.symbol not in self.alphabet:
-                    raise DimensionError(f"undeclared symbol {tr.symbol!r}")
-                if tr.direction not in ("L", "R"):
-                    raise DimensionError(f"bad direction {tr.direction!r}")
-                if not np.isfinite(tr.amplitude):
-                    raise DimensionError("transition amplitude must be finite")
+                self.check_transition(q, sym, tr)
+
+    def check_transition(self, q: str, sym: str, tr: Transition) -> None:
+        """Raise DimensionError unless (q, sym) -> tr fits this machine."""
+        for name in (q, tr.state):
+            if name not in self.states:
+                raise DimensionError(f"undeclared state {name!r}")
+        for s in (sym, tr.symbol):
+            if s not in self.alphabet:
+                raise DimensionError(f"undeclared symbol {s!r}")
+        if q == self.final and q != self.initial:
+            raise DimensionError(
+                "final state must have no outgoing transitions"
+            )
+        if tr.direction not in ("L", "R"):
+            raise DimensionError(f"bad direction {tr.direction!r}")
+        if not np.isfinite(tr.amplitude):
+            raise DimensionError("transition amplitude must be finite")
 
 
 @dataclass
@@ -87,6 +90,10 @@ class ConfigSpace:
     tape_cells: int
 
     def __post_init__(self):
+        if self.tape_cells < 1:
+            raise DimensionError(
+                f"tape window needs at least 1 cell, got {self.tape_cells}"
+            )
         self.n_states = len(self.qtm.states)
         self.n_symbols = len(self.qtm.alphabet)
         self.n_words = self.n_symbols ** self.tape_cells
@@ -226,17 +233,6 @@ def run_qtm(
     return QTMState(state.space, amps)
 
 
-def final_state_mass(state: QTMState) -> float:
-    """Amplitude mass on configurations whose machine state is final."""
-    space = state.space
-    total = 0.0
-    for c in range(space.size):
-        q, _, _ = space.decode(c)
-        if q == space.qtm.final:
-            total += abs(state.amps[c]) ** 2
-    return total
-
-
 def oracle_step(
     state: QTMState,
     oracle: Oracle,
@@ -297,7 +293,7 @@ def parse_qtm(text: str) -> QTMDef:
         alphabet _ 0 1
         q sym -> q' sym' L|R re im
     """
-    states = alphabet = initial = final = None
+    states = header = None
     transitions: dict[tuple[str, str], list[Transition]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -319,12 +315,16 @@ def parse_qtm(text: str) -> QTMDef:
             ):
                 raise ParseError(lineno, "malformed states header")
             states, initial, final = s_toks[1:], i_toks[1], f_toks[1]
+            with at_line(lineno):  # the header alone, with no alphabet
+                QTMDef(states, [], initial, final, {})
             continue
-        if alphabet is None:
+        if header is None:
             toks = line.split()
             if toks[0] != "alphabet" or len(toks) < 2:
                 raise ParseError(lineno, "expected 'alphabet <blank> ...'")
-            alphabet = toks[1:]
+            with at_line(lineno):
+                # the machine without transitions checks each line below
+                header = QTMDef(states, toks[1:], initial, final, {})
             continue
         toks = line.split()
         if len(toks) != 8 or toks[2] != "->":
@@ -332,21 +332,17 @@ def parse_qtm(text: str) -> QTMDef:
                 lineno, "expected 'q sym -> q' sym' L|R re im'"
             )
         q, sym, _, q2, sym2, direction, re_s, im_s = toks
-        if direction not in ("L", "R"):
-            raise ParseError(lineno, f"bad direction {direction!r}")
         try:
             amp = complex(float(re_s), float(im_s))
         except ValueError:
             raise ParseError(lineno, "bad amplitude") from None
-        transitions.setdefault((q, sym), []).append(
-            Transition(q2, sym2, direction, amp)
-        )
-    if states is None or alphabet is None:
+        tr = Transition(q2, sym2, direction, amp)
+        with at_line(lineno):
+            header.check_transition(q, sym, tr)
+        transitions.setdefault((q, sym), []).append(tr)
+    if header is None:
         raise ParseError(1, "missing states or alphabet header")
-    try:
-        return QTMDef(states, alphabet, initial, final, transitions)
-    except DimensionError as e:
-        raise ParseError(1, str(e)) from None
+    return QTMDef(states, header.alphabet, initial, final, transitions)
 
 
 def load_qtm(path: str) -> QTMDef:

@@ -1,6 +1,10 @@
 """Dense state-vector representation, gate-application kernel, measurement,
 and entanglement diagnostics.
 
+The kernel `apply_unitary` takes a gate as its core matrix, its targets and
+its controls: a controlled gate is applied as its core on the slice of the
+state where every control is 1, never as a dense controlled matrix.
+
 Convention: qubit 0 is the most significant bit of the basis-state index.
 For a 2-qubit state the amplitude order is |00>, |01>, |10>, |11> where the
 left bit is qubit 0.
@@ -40,6 +44,12 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
+
+    def check_normalized(self) -> None:
+        """Raise StateError unless the norm is 1 within GATE_NORM_TOL."""
+        norm = self.norm()
+        if abs(norm - 1.0) > GATE_NORM_TOL:
+            raise StateError(f"state norm {norm} deviates from 1 by > 1e-6")
 
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.amps.copy())
@@ -92,19 +102,23 @@ def _check_targets(n_qubits: int, targets: Sequence[int]):
 
 
 def apply_unitary(
-    state: StateVector, u: np.ndarray, targets: Sequence[int]
+    state: StateVector,
+    u: np.ndarray,
+    targets: Sequence[int],
+    controls: Sequence[int] = (),
 ) -> StateVector:
-    """Apply a 2^k x 2^k unitary to the ordered target qubits.
+    """Apply a 2^k x 2^k unitary to the ordered target qubits where every
+    qubit in `controls` is 1; return a new state.
 
     The matrix acts on the subsystem spanned by `targets` (targets[0] is the
     most significant bit of the sub-index) and as identity elsewhere. The
     full 2^n embedded matrix is never materialized; the update is a strided
-    tensor contraction over the target axes.
+    tensor contraction over the target axes of the controlled slice.
     """
     u = np.asarray(u, dtype=np.complex128)
     targets = list(targets)
     k = len(targets)
-    _check_targets(state.n_qubits, targets)
+    _check_targets(state.n_qubits, targets + list(controls))
     if u.shape != (2 ** k, 2 ** k):
         raise DimensionError(
             f"matrix shape {u.shape} does not match {k} targets"
@@ -114,14 +128,22 @@ def apply_unitary(
 
     n = state.n_qubits
     psi = state.amps.reshape([2] * n)
+    # The slice where every control is 1 keeps the other axes in order;
+    # renumber the targets within it. Without controls it is all of psi.
+    index = tuple(1 if ax in controls else slice(None) for ax in range(n))
+    kept = [ax for ax in range(n) if ax not in controls]
+    axes = [kept.index(t) for t in targets]
     # Contract u (reshaped to a 2k-axis tensor) against the target axes.
     u_tensor = u.reshape([2] * (2 * k))
-    psi = np.tensordot(u_tensor, psi, axes=(list(range(k, 2 * k)), targets))
+    new = np.tensordot(u_tensor, psi[index], (list(range(k, 2 * k)), axes))
     # tensordot puts the k output axes first; restore original axis order.
-    rest = [ax for ax in range(n) if ax not in targets]
-    perm = np.argsort(targets + rest)
-    psi = psi.transpose(perm)
-    return StateVector(n, psi.reshape(-1))
+    rest = [ax for ax in range(len(kept)) if ax not in axes]
+    new = new.transpose(np.argsort(axes + rest))
+    if controls:
+        out = psi.copy()
+        out[index] = new
+        new = out
+    return StateVector(n, new.reshape(-1))
 
 
 def measure_all(state: StateVector, rng_seed: int) -> MeasurementRecord:
@@ -130,9 +152,7 @@ def measure_all(state: StateVector, rng_seed: int) -> MeasurementRecord:
     Deterministic given the seed; the collapsed state is the sampled basis
     state.
     """
-    norm = state.norm()
-    if abs(norm - 1.0) > GATE_NORM_TOL:
-        raise StateError(f"state norm {norm} deviates from 1 by > 1e-6")
+    state.check_normalized()
     rng = np.random.default_rng(rng_seed)
     probs = state.probabilities()
     probs = probs / probs.sum()
@@ -142,25 +162,27 @@ def measure_all(state: StateVector, rng_seed: int) -> MeasurementRecord:
     return MeasurementRecord(outcome, float(probs[index]), collapsed)
 
 
-def measure_qubit(
-    state: StateVector, qubit: int, rng_seed: int
-) -> tuple[int, StateVector]:
-    """Measure a single qubit; return (bit, renormalized post-state)."""
+def _probability_of_one(state: StateVector, qubit: int) -> float:
+    """P(qubit = 1), clamped to [0, 1], of a normalized state."""
     if not 0 <= qubit < state.n_qubits:
         raise DimensionError(
             f"qubit {qubit} out of range for {state.n_qubits} qubits"
         )
-    norm = state.norm()
-    if abs(norm - 1.0) > GATE_NORM_TOL:
-        raise StateError(f"state norm {norm} deviates from 1 by > 1e-6")
-    n = state.n_qubits
-    psi = state.amps.reshape([2] * n)
+    state.check_normalized()
+    psi = state.amps.reshape([2] * state.n_qubits)
     p1 = float(np.sum(np.abs(np.take(psi, 1, axis=qubit)) ** 2))
-    p1 = min(max(p1, 0.0), 1.0)
+    return min(max(p1, 0.0), 1.0)
+
+
+def measure_qubit(
+    state: StateVector, qubit: int, rng_seed: int
+) -> tuple[int, StateVector]:
+    """Measure a single qubit; return (bit, renormalized post-state)."""
+    p1 = _probability_of_one(state, qubit)
     rng = np.random.default_rng(rng_seed)
     bit = int(rng.random() < p1)
-    prob = p1 if bit else 1.0 - p1
-    post = psi.copy()
+    n = state.n_qubits
+    post = state.amps.reshape([2] * n).copy()
     index = [slice(None)] * n
     index[qubit] = 1 - bit
     post[tuple(index)] = 0.0

@@ -16,7 +16,7 @@ from qckit.algorithms import (
 from qckit.circuit import Circuit, GateApp, NAMED, UNITARY, circuit_unitary, simulate
 from qckit.errors import CapacityError, DimensionError
 from qckit.oracle import Oracle, min_deterministic_queries_dj
-from qckit.state import StateVector, basis_state
+from qckit.state import StateVector, basis_state, measure_qubit
 
 from conftest import random_state
 
@@ -205,6 +205,20 @@ class TestBoundedError:
         assert majority_error_probability(2 / 3, 45) == pytest.approx(
             expected, rel=1e-12
         )
+
+    def test_votes_match_per_vote_measurement(self):
+        # one P(1) for all votes gives the verdicts of measuring a fresh
+        # copy of the prepared state with each vote's split seed
+        c = _accept_prob_circuit(2 / 3)
+        final = simulate(c)
+        for seed in range(20):
+            v = decide_bounded_error(c, 0, runs=15, rng_seed=seed)
+            bits = [
+                measure_qubit(final, 0, s)[0]
+                for s in np.random.SeedSequence(seed).spawn(15)
+            ]
+            assert v.frequency == sum(bits) / 15
+            assert v.accept == (sum(bits) * 2 > 15)
 
     def test_amplification_monotonic(self):
         errors = [

@@ -19,9 +19,9 @@ from qckit.errors import (
     ParseError,
     UnresolvedOracleError,
 )
-from qckit.gates import GATE_ARITY, standard_gate_matrix
-from qckit.oracle import Oracle, QueryCounter
-from qckit.state import basis_state, new_zero_state
+from qckit.gates import GATE_ARITY, controlled, standard_gate_matrix
+from qckit.oracle import Oracle, QueryCounter, oracle_gate
+from qckit.state import StateVector, basis_state, new_zero_state
 
 from conftest import random_state, random_unitary
 
@@ -159,6 +159,81 @@ class TestCircuitUnitary:
             for j in range(2 ** n):
                 col = simulate(c, basis_state(n, j))
                 assert np.max(np.abs(col.amps - u[:, j])) < 1e-9
+
+
+def _embed(m: np.ndarray, targets, n_qubits) -> np.ndarray:
+    """Dense 2^n matrix of m acting on the ordered targets: m (x) I on
+    the basis reordered to (targets..., other qubits...)."""
+    order = list(targets) + [q for q in range(n_qubits) if q not in targets]
+    bits = (np.arange(2 ** n_qubits)[:, None]
+            >> (n_qubits - 1 - np.arange(n_qubits))) & 1
+    perm = bits[:, order] @ (1 << np.arange(n_qubits - 1, -1, -1))
+    full = np.kron(m, np.eye(2 ** (n_qubits - len(targets))))
+    return full[np.ix_(perm, perm)]
+
+
+@st.composite
+def _mixed_circuits(draw):
+    """A circuit of up to 6 qubits using every gate kind that fits, with
+    its dense reference unitary built without the simulation kernel."""
+    n = draw(st.integers(1, 6))
+    kinds = ["h", "phase", "unitary"]
+    kinds += ["cx", "cphase", "mcx", "oracle"] if n >= 2 else []
+    kinds += ["ccx"] if n >= 3 else []
+    kinds = draw(st.permutations(kinds + draw(
+        st.lists(st.sampled_from(kinds), max_size=6))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ops, oracles, ref = [], {}, np.eye(2 ** n)
+    for kind in kinds:
+        qubits = [int(q) for q in rng.permutation(n)]
+        if kind == "unitary":
+            nc = int(rng.integers(n))
+            k = int(rng.integers(1, n - nc + 1))
+            core = random_unitary(2 ** k, rng)
+            op = GateApp(UNITARY, qubits[:nc + k], matrix=core, n_controls=nc)
+            m = controlled(core, nc)
+        elif kind == "oracle":
+            k = int(rng.integers(1, n))
+            name = f"f{len(oracles)}"
+            oracles[name] = Oracle(k, rng.integers(0, 2, 2 ** k))
+            op = GateApp(ORACLE, qubits[:k + 1], name=name)
+            m = oracle_gate(oracles[name])
+        else:
+            arity = GATE_ARITY[kind] or int(rng.integers(2, n + 1))
+            param = float(rng.uniform(-np.pi, np.pi)) if kind in (
+                "phase", "cphase") else None
+            op = GateApp(NAMED, qubits[:arity], name=kind, param=param)
+            m = standard_gate_matrix(kind, param, arity)
+        ops.append(op)
+        ref = _embed(m, op.targets, n) @ ref
+    return Circuit(n, ops), oracles, ref
+
+
+class TestDifferential:
+    def test_embed_reference(self):
+        # cx with the control on qubit 1 and the target on qubit 0
+        swapped = np.array(
+            [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
+        )
+        assert np.array_equal(
+            _embed(standard_gate_matrix("cx"), (1, 0), 2), swapped
+        )
+
+    @given(_mixed_circuits())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_matches_dense_reference(self, drawn):
+        circuit, oracles, ref = drawn
+        n = circuit.n_qubits
+        u = circuit_unitary(circuit, oracles)
+        assert np.max(np.abs(u - ref)) < 1e-10
+        psi = random_state(n, np.random.default_rng(n))
+        before = psi.copy()
+        out = simulate(circuit, StateVector(n, psi), oracles)
+        assert np.max(np.abs(out.amps - ref @ psi)) < 1e-10
+        assert np.array_equal(psi, before)
+        for j in range(2 ** n):
+            col = simulate(circuit, basis_state(n, j), oracles).amps
+            assert np.max(np.abs(col - u[:, j])) < 1e-12
 
 
 def _random_circuit(n_qubits, n_gates, rng) -> Circuit:

@@ -195,3 +195,92 @@ class TestQFT:
         code, _, err = run_cli(capsys, "run", "/nonexistent.circuit")
         assert code == 2
         assert "error:" in err
+
+
+def assert_one_error(code, err, line=None):
+    """Exit 2 with a single `error:` line, naming the input line if given."""
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    if line is not None:
+        assert f"line {line}:" in lines[0]
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("entries", [
+        "0 0 0 0 0 0 0 0",   # all-zero core: used to end in a numpy traceback
+        "2 0 0 0 0 0 2 0",   # 2*I: used to be renormalized without a word
+    ])
+    def test_non_unitary_core_names_line(self, tmp_path, capsys, entries):
+        path = tmp_path / "c.circuit"
+        path.write_text(f"qubits 1\nh 0\nunitary 0 0 : {entries}\n")
+        code, _, err = run_cli(capsys, "run", str(path))
+        assert_one_error(code, err, line=3)
+        assert "not unitary" in err
+
+    def test_norm_drift_rejected_before_sampling(self, tmp_path, capsys):
+        # each core is unitary within GATE_NORM_TOL; ten of them are not
+        line = "unitary 0 0 : 1.0000004 0 0 0 0 0 1.0000004 0\n"
+        path = tmp_path / "c.circuit"
+        path.write_text("qubits 1\n" + line * 10)
+        code, _, err = run_cli(capsys, "run", str(path))
+        assert_one_error(code, err)
+        assert "norm" in err
+
+    @pytest.mark.parametrize("flag", ["--shots=-5", "--seed=-1"])
+    def test_negative_count_flags(self, tmp_path, capsys, flag):
+        path = tmp_path / "bell.circuit"
+        path.write_text(BELL)
+        code, _, err = run_cli(capsys, "run", str(path), flag)
+        assert_one_error(code, err)
+        assert flag.split("=")[0] in err
+
+    def test_negative_seed_any_command(self, capsys):
+        code, _, err = run_cli(capsys, "shor", "15", "--seed=-1")
+        assert_one_error(code, err)
+
+    @pytest.mark.parametrize("command", ["qtm-check", "compile"])
+    @pytest.mark.parametrize("cells", ["-1", "0"])
+    def test_empty_tape_window(self, tmp_path, capsys, command, cells):
+        path = tmp_path / "mr.qtm"
+        path.write_text(MOVE_RIGHT)
+        code, _, err = run_cli(
+            capsys, command, str(path), f"--tape-cells={cells}"
+        )
+        assert_one_error(code, err)
+        assert "cell" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+    def test_bad_compile_tolerance(self, tmp_path, capsys, tol):
+        path = tmp_path / "mr.qtm"
+        path.write_text(MOVE_RIGHT)
+        code, _, err = run_cli(
+            capsys, "compile", str(path), f"--tol={tol}",
+            "-o", str(tmp_path / "out.circuit"),
+        )
+        assert_one_error(code, err)
+        assert "tolerance" in err
+
+    @pytest.mark.parametrize("text, line, message", [
+        (MOVE_RIGHT.replace("R 1 0\nq0 1", "R 1 0\nq0 1 -> q9 1 R 1 0\nq0 1"),
+         4, "undeclared state 'q9'"),
+        (MOVE_RIGHT.replace("q0 0 -> q0 0", "q0 0 -> q0 7"),
+         3, "undeclared symbol '7'"),
+        (MOVE_RIGHT.replace("initial q0", "initial q5"),
+         1, "undeclared state 'q5'"),
+        (MOVE_RIGHT.replace("alphabet 0 1", "alphabet 0 1 0"),
+         2, "duplicate alphabet symbols"),
+        ("# header\n\n" + MOVE_RIGHT.replace("final q0", "final qf")
+         .replace("states q0", "states q0 qf")
+         + "qf 0 -> q0 0 R 1 0\n",
+         7, "final state must have no outgoing transitions"),
+    ], ids=["target-state", "written-symbol", "initial", "alphabet",
+            "final-outgoing"])
+    def test_qtm_semantic_error_names_line(
+        self, tmp_path, capsys, text, line, message
+    ):
+        path = tmp_path / "m.qtm"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "qtm-check", str(path))
+        assert_one_error(code, err, line=line)
+        assert message in err
