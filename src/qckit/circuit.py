@@ -124,21 +124,24 @@ def simulate(
     rng_seed: int = 0,
     counter: QueryCounter | None = None,
 ) -> StateVector:
-    """Apply every gate of the circuit in order.
+    """Apply every gate of the circuit in order; `initial` is not modified.
 
     Oracle gates are resolved through `oracle_table` and applied via the
     strided kernel, incrementing `counter.quantum_queries` once each.
     The seed is threaded for interface uniformity; a unitary-only circuit
-    is deterministic.
+    is deterministic. The state lives in two buffers that the gates write
+    into by turns, and only the returned state is checked for finiteness.
     """
     if initial is None:
-        initial = new_zero_state(circuit.n_qubits)
-    if initial.n_qubits != circuit.n_qubits:
+        state = new_zero_state(circuit.n_qubits)
+    elif initial.n_qubits != circuit.n_qubits:
         raise DimensionError(
             f"initial state has {initial.n_qubits} qubits, "
             f"circuit needs {circuit.n_qubits}"
         )
-    state = initial
+    else:
+        state = StateVector(initial.n_qubits, initial.amps.copy())
+    spare = np.empty_like(state.amps)
     for op in circuit.ops:
         if op.kind == ORACLE:
             oracle = (oracle_table or {}).get(op.name)
@@ -146,17 +149,20 @@ def simulate(
                 raise UnresolvedOracleError(
                     f"oracle {op.name!r} has no binding"
                 )
-            state = apply_oracle(
+            new = apply_oracle(
                 state, oracle, list(op.targets[:-1]), op.targets[-1],
-                counter=counter,
+                counter=counter, out=spare,
             )
-            continue
-        if op.kind == NAMED:
-            core, nc = gate_core(op.name, op.param, len(op.targets))
         else:
-            core, nc = op.matrix, op.n_controls
-        state = apply_unitary(state, core, op.targets[nc:], op.targets[:nc])
-    return state
+            if op.kind == NAMED:
+                core, nc = gate_core(op.name, op.param, len(op.targets))
+            else:
+                core, nc = op.matrix, op.n_controls
+            new = apply_unitary(
+                state, core, op.targets[nc:], op.targets[:nc], out=spare
+            )
+        spare, state = state.amps, new
+    return StateVector(state.n_qubits, state.amps)
 
 
 def circuit_unitary(

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from qckit.errors import CapacityError, DimensionError, ParseError
-from qckit.state import StateVector
+from qckit.state import StateVector, _out_buffer, _unchecked
 
 MAX_ORACLE_INPUTS = 20
 MAX_EXPLICIT_QUBITS = 12  # cap for materializing the gate matrix
@@ -89,8 +89,10 @@ def apply_oracle(
     x_targets: list[int],
     b_target: int,
     counter: QueryCounter | None = None,
+    out: np.ndarray | None = None,
 ) -> StateVector:
-    """Apply the oracle gate by permuting amplitudes in place of a matrix.
+    """Apply the oracle gate by permuting amplitudes in place of a matrix,
+    writing the result into `out` (see `apply_unitary` for its contract).
 
     Works at any width the state supports; counts one quantum query.
     """
@@ -105,22 +107,22 @@ def apply_oracle(
     for t in targets:
         if not 0 <= t < state.n_qubits:
             raise DimensionError(f"oracle target {t} out of range")
+    out = _out_buffer(state, out)
 
     n = state.n_qubits
-    psi = state.amps.reshape([2] * n)
-    table = np.asarray(oracle.table, dtype=np.uint8)
-    # Move x axes and the ancilla axis to the front, flatten x to one axis,
-    # and swap the ancilla slices wherever the table is 1.
-    order = targets + [q for q in range(n) if q not in targets]
-    work = psi.transpose(order).copy()
-    work = work.reshape(2 ** oracle.n_inputs, 2, -1)
-    flip = table == 1
-    work[flip] = work[flip][:, ::-1]
-    work = work.reshape([2] * n)
-    work = work.transpose(np.argsort(order)).reshape(-1)
+    psi, dst = state.amps.reshape([2] * n), out.reshape([2] * n)
+    # The table as a mask over the x axes, in qubit order, broadcast over
+    # the others; where it is 1, take the amplitude of the other b value.
+    table = np.asarray(oracle.table, dtype=bool).reshape([2] * oracle.n_inputs)
+    mask = np.expand_dims(table.transpose(np.argsort(x_targets)),
+                          [q for q in range(n) if q not in x_targets])
+    flipped = [slice(None)] * n
+    flipped[b_target] = slice(None, None, -1)
+    np.copyto(dst, psi)
+    np.copyto(dst, psi[tuple(flipped)], where=mask)
     if counter is not None:
         counter.quantum_queries += 1
-    return StateVector(n, work)
+    return _unchecked(n, out)
 
 
 @lru_cache(maxsize=None)

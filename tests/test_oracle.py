@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qckit.circuit import Circuit, GateApp, ORACLE, simulate
 from qckit.errors import CapacityError, DimensionError, ParseError
@@ -119,6 +120,45 @@ class TestApplyOracle:
             apply_oracle(new_zero_state(2), Oracle(1, (0, 1)), [0], 0)
         with pytest.raises(DimensionError):
             apply_oracle(new_zero_state(2), Oracle(2, (0, 1, 0, 1)), [0], 1)
+
+
+def _permuted(psi, n, table, x_targets, b_target):
+    """The oracle as an explicit permutation of basis indices."""
+    expected = np.empty_like(psi)
+    for idx in range(2 ** n):
+        bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
+        x = int("".join(str(bits[q]) for q in x_targets), 2)
+        bits[b_target] ^= table[x]
+        expected[int("".join(map(str, bits)), 2)] = psi[idx]
+    return expected
+
+
+class TestApplyOracleExact:
+    @given(st.integers(2, 10), st.integers(0, 2 ** 32 - 1), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_permutation(self, n, seed, use_out):
+        rng = np.random.default_rng(seed)
+        qubits = [int(q) for q in rng.permutation(n)]
+        n_inputs = int(rng.integers(1, n))
+        x_targets, b_target = qubits[:n_inputs], qubits[n_inputs]
+        table = tuple(int(b) for b in rng.integers(0, 2, 2 ** n_inputs))
+        psi = random_state(n, rng)
+        psi[rng.random(2 ** n) < 0.2] *= -0.0
+        before = psi.copy()
+        out = np.full_like(psi, np.nan) if use_out else None
+        got = apply_oracle(StateVector(n, psi), Oracle(n_inputs, table),
+                           x_targets, b_target, out=out).amps
+        want = _permuted(before, n, table, x_targets, b_target)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(psi.view(np.uint64), before.view(np.uint64))
+        if use_out:
+            assert got is out
+
+    def test_out_aliasing_state_rejected(self, rng):
+        psi = random_state(3, rng)
+        with pytest.raises(DimensionError):
+            apply_oracle(StateVector(3, psi), Oracle(2, (0, 1, 1, 0)),
+                         [0, 1], 2, out=psi)
 
 
 class TestClassicalQuery:

@@ -1,5 +1,11 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import qckit.state
 
 from qckit.errors import CapacityError, DimensionError, StateError
 from qckit.gates import standard_gate_matrix
@@ -110,6 +116,133 @@ class TestApplyUnitary:
             + beta * apply_unitary(StateVector(3, phi), u, [0, 1]).amps
         )
         assert np.allclose(lhs, rhs, atol=1e-9)
+
+
+def _tensordot_reference(amps, u, n, targets, controls=()):
+    """The tensordot kernel that the GEMM kernel replaced, kept verbatim as
+    the reference its results must match bit for bit."""
+    u = np.asarray(u, dtype=np.complex128)
+    targets = list(targets)
+    k = len(targets)
+    psi = amps.reshape([2] * n)
+    index = tuple(1 if ax in controls else slice(None) for ax in range(n))
+    kept = [ax for ax in range(n) if ax not in controls]
+    axes = [kept.index(t) for t in targets]
+    u_tensor = u.reshape([2] * (2 * k))
+    new = np.tensordot(u_tensor, psi[index], (list(range(k, 2 * k)), axes))
+    rest = [ax for ax in range(len(kept)) if ax not in axes]
+    new = new.transpose(np.argsort(axes + rest))
+    if controls:
+        out = psi.copy()
+        out[index] = new
+        new = out
+    return new.reshape(-1)
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, so also in the sign of every zero."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@st.composite
+def _gates(draw):
+    """(n, amps, core, targets, controls): 1- or 2-qubit cores with 0-3
+    controls on 1-10 qubits, the first target drawn from the last four
+    qubits half the time; amplitudes include +0 and -0."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    target = draw(st.one_of(st.integers(max(0, n - 4), n - 1),
+                            st.integers(0, n - 1)))
+    others = [int(q) for q in rng.permutation(n) if q != target]
+    k = draw(st.integers(1, min(2, n)))
+    n_controls = draw(st.integers(0, min(3, n - k)))
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    amps[rng.random(2 ** n) < 0.2] = 0.0
+    amps[rng.random(2 ** n) < 0.1] *= -0.0
+    amps /= np.linalg.norm(amps) or 1.0
+    core = random_unitary(2 ** k, rng)
+    if draw(st.booleans()):  # zeros and signs in the core too
+        core = np.round(core.real) + 0j if k == 1 else core.round(1)
+    targets = [target] + others[:k - 1]
+    return n, amps, core, targets, others[k - 1:k - 1 + n_controls]
+
+
+class TestKernelBitExact:
+    """The GEMM kernel against the tensordot reference, every gate form."""
+
+    @given(_gates(), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_tensordot(self, gate, use_out, short_runs):
+        n, amps, core, targets, controls = gate
+        before = amps.copy()
+        out = np.full_like(amps, np.nan) if use_out else None
+        # short runs put more controls on the restricted path and reach the
+        # piecewise tensordot, which otherwise needs 19 free qubits
+        runs = (mock.patch.multiple(qckit.state, _RUN_MIN=4, _PIECE_QUBITS=5)
+                if short_runs else contextlib.nullcontext())
+        with runs:
+            got = apply_unitary(StateVector(n, amps), core, targets,
+                                controls, out=out)
+        want = _tensordot_reference(before, core, n, targets, controls)
+        assert _same_bits(got.amps, want)
+        assert _same_bits(amps, before)
+        if use_out:
+            assert got.amps is out
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_target_position(self, n, rng):
+        # each qubit in turn, the last four included, under 0-3 controls
+        for t in range(n):
+            for n_controls in range(min(3, n - 1) + 1):
+                others = [q for q in range(n) if q != t]
+                controls = list(rng.choice(others, n_controls, replace=False))
+                psi = random_state(n, rng)
+                u = random_unitary(2, rng)
+                got = apply_unitary(StateVector(n, psi), u, [t], controls)
+                want = _tensordot_reference(psi, u, n, [t], controls)
+                assert _same_bits(got.amps, want), (t, controls)
+
+
+class TestOutBuffer:
+    def test_out_aliasing_state_rejected(self, rng):
+        amps = random_state(4, rng)
+        s = StateVector(4, amps)
+        with pytest.raises(DimensionError):
+            apply_unitary(s, np.eye(2), [0], out=amps)
+        with pytest.raises(DimensionError):
+            apply_unitary(s, np.eye(2), [0], out=amps.view())
+
+    @pytest.mark.parametrize("out", [
+        np.empty(8, dtype=complex),
+        np.empty(16, dtype=np.complex64),
+        np.empty(32, dtype=complex)[::2],
+    ])
+    def test_bad_out_rejected(self, out):
+        with pytest.raises(DimensionError):
+            apply_unitary(new_zero_state(4), np.eye(2), [0], out=out)
+
+
+def _non_finite(value):
+    s = new_zero_state(2)
+    s.amps[3] = value
+    return s
+
+
+class TestNormCheck:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)])
+    def test_check_normalized(self, value):
+        with pytest.raises(StateError):
+            _non_finite(value).check_normalized()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_measure_all(self, value):
+        with pytest.raises(StateError):
+            measure_all(_non_finite(value), 0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_measure_qubit(self, value):
+        with pytest.raises(StateError):
+            measure_qubit(_non_finite(value), 0, 0)
 
 
 class TestMeasureAll:
