@@ -32,7 +32,7 @@ from qckit.errors import (
     UnresolvedOracleError,
     at_line,
 )
-from qckit.gates import gate_core
+from qckit.gates import _unitarity_deviation, gate_core
 from qckit.oracle import Oracle, QueryCounter, apply_oracle
 from qckit.state import GATE_NORM_TOL, StateVector, apply_unitary, new_zero_state
 
@@ -78,8 +78,7 @@ class GateApp:
                     f"raw matrix shape {self.matrix.shape} does not match "
                     f"{core_qubits} non-control targets"
                 )
-            gram = self.matrix.conj().T @ self.matrix
-            if not np.max(np.abs(gram - np.eye(dim))) <= GATE_NORM_TOL:
+            if not _unitarity_deviation(self.matrix) <= GATE_NORM_TOL:
                 raise DimensionError("raw matrix is not unitary")
 
     def __eq__(self, other):

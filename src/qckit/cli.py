@@ -247,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed < 0:
             raise QckitError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args, started)
-    except (QckitError, OSError) as e:
+    except (QckitError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -10,13 +10,15 @@ gates are terminal primitives; no further decomposition is attempted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from qckit.circuit import NAMED, UNITARY, Circuit, GateApp, circuit_unitary
-from qckit.errors import CapacityError, DimensionError, QckitError, WellFormednessError
-from qckit.qtm import QTMDef, QTMState, check_well_formed, step_operator
+from qckit.errors import CapacityError, DimensionError, QckitError
+from qckit.gates import _unitarity_deviation
+from qckit.qtm import QTMDef, QTMState, _well_formed_step
 from qckit.state import StateVector
 
 MAX_DECOMPOSE_DIM = 256
@@ -40,10 +42,7 @@ class TwoLevelFactor:
 
     def embed(self) -> np.ndarray:
         m = np.eye(self.dim, dtype=np.complex128)
-        m[self.i, self.i] = self.block[0, 0]
-        m[self.i, self.j] = self.block[0, 1]
-        m[self.j, self.i] = self.block[1, 0]
-        m[self.j, self.j] = self.block[1, 1]
+        m[np.ix_([self.i, self.j], [self.i, self.j])] = self.block
         return m
 
 
@@ -56,19 +55,7 @@ class CompilationReport:
     source_dim: int
 
     def as_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "gate_counts": self.gate_counts,
-            "max_deviation": self.max_deviation,
-            "padded_dim": self.padded_dim,
-            "source_dim": self.source_dim,
-        }
-
-
-def _unitarity_deviation(u: np.ndarray) -> float:
-    return float(
-        np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    )
+        return asdict(self)
 
 
 def decompose_two_level(
@@ -87,7 +74,7 @@ def decompose_two_level(
         raise DimensionError("matrix must be square with power-of-two size")
     if dim > MAX_DECOMPOSE_DIM:
         raise CapacityError(f"decomposition capped at dim {MAX_DECOMPOSE_DIM}")
-    if _unitarity_deviation(u) > tol:
+    if not _unitarity_deviation(u) <= tol:
         raise DimensionError("input matrix is not unitary within tolerance")
 
     a = u.copy()
@@ -243,10 +230,8 @@ def compile_unitary(
         raise QckitError(
             f"compiled circuit deviates by {achieved:.3g} >= tol {tol:.3g}"
         )
-    counts: dict[str, int] = {}
-    for op in circuit.ops:
-        key = op.name if op.kind == NAMED else "unitary"
-        counts[key] = counts.get(key, 0) + 1
+    counts = dict(Counter(op.name if op.kind == NAMED else "unitary"
+                          for op in circuit.ops))
     report = CompilationReport(
         n_qubits=n_qubits,
         gate_counts=counts,
@@ -261,9 +246,7 @@ def pad_to_power_of_two(m: np.ndarray) -> np.ndarray:
     """Extend a square matrix to the next power-of-two size, acting as
     identity on the padding states."""
     dim = m.shape[0]
-    padded_dim = 1
-    while padded_dim < dim:
-        padded_dim *= 2
+    padded_dim = 1 << (dim - 1).bit_length()
     if padded_dim == dim:
         return m.copy()
     out = np.eye(padded_dim, dtype=np.complex128)
@@ -275,12 +258,7 @@ def encode_qtm_state(state: QTMState) -> StateVector:
     """Embed a QTM configuration superposition into the compiled circuit's
     qubit register (configuration index = basis index, zero padding)."""
     dim = state.space.size
-    padded_dim = 1
-    n_qubits = 0
-    while padded_dim < dim:
-        padded_dim *= 2
-        n_qubits += 1
-    n_qubits = max(n_qubits, 1)
+    n_qubits = max((dim - 1).bit_length(), 1)
     amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
     amps[:dim] = state.amps
     return StateVector(n_qubits, amps)
@@ -291,13 +269,7 @@ def compile_qtm_step(
 ) -> tuple[Circuit, CompilationReport]:
     """Compile the machine's one-step evolution into a circuit whose full
     unitary matches the padded step operator within tol."""
-    ok, violations = check_well_formed(qtm, tape_cells)
-    if not ok:
-        raise WellFormednessError(
-            "machine is not well-formed on this window: "
-            + "; ".join(violations[:3])
-        )
-    m = step_operator(qtm, tape_cells)
+    m = _well_formed_step(qtm, tape_cells)
     if m.shape[0] > MAX_DECOMPOSE_DIM:
         raise CapacityError(
             f"configuration count {m.shape[0]} exceeds {MAX_DECOMPOSE_DIM}"

@@ -92,3 +92,8 @@ def standard_gate_matrix(
 ) -> np.ndarray:
     """Dense matrix for a named gate; `arity` is required only for `mcx`."""
     return controlled(*gate_core(name, param, arity))
+
+
+def _unitarity_deviation(u: np.ndarray) -> float:
+    """max |U†U - I| over the entries; NaN for a non-finite matrix."""
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))

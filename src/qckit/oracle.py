@@ -22,12 +22,13 @@ MAX_EXPLICIT_QUBITS = 12  # cap for materializing the gate matrix
 class Oracle:
     """Indicator function I: {0,1}^n -> {0,1} stored as a truth table.
 
-    table[x] = I(x) with x read as a big-endian integer. Immutable and
-    shareable; query counts live in QueryCounter, not here.
+    table[x] = I(x) with x read as a big-endian integer, held as bytes
+    (one 0/1 byte per x) made from any 1-D sequence or array of bits.
+    Immutable and shareable; query counts live in QueryCounter, not here.
     """
 
     n_inputs: int
-    table: tuple[int, ...]
+    table: bytes
     name: str = ""
 
     def __post_init__(self):
@@ -35,13 +36,22 @@ class Oracle:
             raise CapacityError(
                 f"n_inputs must be in [1, {MAX_ORACLE_INPUTS}]"
             )
-        object.__setattr__(self, "table", tuple(int(b) for b in self.table))
-        if len(self.table) != 2 ** self.n_inputs:
+        table = self.table
+        try:  # bytes by their values; a ragged sequence raises ValueError
+            bits = (np.frombuffer(table, np.uint8)
+                    if isinstance(table, bytes) else np.asarray(table))
+        except ValueError:
+            bits = None
+        if bits is None or bits.ndim != 1:
+            raise DimensionError("table must be a 1-D sequence of bits")
+        if len(bits) != 2 ** self.n_inputs:
             raise DimensionError(
-                f"table length {len(self.table)} != 2**{self.n_inputs}"
+                f"table length {len(bits)} != 2**{self.n_inputs}"
             )
-        if any(b not in (0, 1) for b in self.table):
+        if (bits.dtype.kind not in "biuf"
+                or not np.all((bits == 0) | (bits == 1))):
             raise DimensionError("table entries must be bits")
+        object.__setattr__(self, "table", bits.astype(np.uint8).tobytes())
 
 
 @dataclass
@@ -76,11 +86,24 @@ def oracle_gate(oracle: Oracle) -> np.ndarray:
         )
     dim = 2 ** (n + 1)
     m = np.zeros((dim, dim), dtype=np.complex128)
-    for x in range(2 ** n):
-        fx = oracle.table[x]
-        for b in (0, 1):
-            m[2 * x + (b ^ fx), 2 * x + b] = 1.0
+    cols = np.arange(dim)
+    m[cols ^ np.frombuffer(oracle.table, np.uint8)[cols >> 1], cols] = 1.0
     return m
+
+
+def _xor_permute(table: bytes, src: np.ndarray, dst: np.ndarray,
+                 x_axes: list[int], b_axis: int) -> None:
+    """dst[..x.., b] = src[..x.., b XOR table[x]] for two arrays of one
+    shape, x's bits (most significant first) on x_axes, b on b_axis."""
+    # The table as a mask over the x axes, in axis order, broadcast over
+    # the others; where it is 1, take the entry of the other b value.
+    mask = np.frombuffer(table, bool).reshape([2] * len(x_axes))
+    mask = np.expand_dims(mask.transpose(np.argsort(x_axes)),
+                          [a for a in range(src.ndim) if a not in x_axes])
+    flipped = [slice(None)] * src.ndim
+    flipped[b_axis] = slice(None, None, -1)
+    np.copyto(dst, src)
+    np.copyto(dst, src[tuple(flipped)], where=mask)
 
 
 def apply_oracle(
@@ -110,16 +133,8 @@ def apply_oracle(
     out = _out_buffer(state, out)
 
     n = state.n_qubits
-    psi, dst = state.amps.reshape([2] * n), out.reshape([2] * n)
-    # The table as a mask over the x axes, in qubit order, broadcast over
-    # the others; where it is 1, take the amplitude of the other b value.
-    table = np.asarray(oracle.table, dtype=bool).reshape([2] * oracle.n_inputs)
-    mask = np.expand_dims(table.transpose(np.argsort(x_targets)),
-                          [q for q in range(n) if q not in x_targets])
-    flipped = [slice(None)] * n
-    flipped[b_target] = slice(None, None, -1)
-    np.copyto(dst, psi)
-    np.copyto(dst, psi[tuple(flipped)], where=mask)
+    _xor_permute(oracle.table, state.amps.reshape([2] * n),
+                 out.reshape([2] * n), x_targets, b_target)
     if counter is not None:
         counter.quantum_queries += 1
     return _unchecked(n, out)
@@ -129,13 +144,9 @@ def apply_oracle(
 def _promise_tables(n_inputs: int) -> tuple[tuple[int, ...], ...]:
     """All constant and balanced truth tables on n_inputs bits."""
     size = 2 ** n_inputs
-    tables = [tuple([0] * size), tuple([1] * size)]
-    for ones in combinations(range(size), size // 2):
-        t = [0] * size
-        for i in ones:
-            t[i] = 1
-        tables.append(tuple(t))
-    return tuple(tables)
+    balanced = (tuple(int(x in ones) for x in range(size))
+                for ones in combinations(range(size), size // 2))
+    return ((0,) * size, (1,) * size, *balanced)
 
 
 def _is_constant(table: tuple[int, ...]) -> bool:
@@ -202,11 +213,12 @@ def parse_oracle(text: str, name: str = "") -> Oracle:
     except ValueError:
         raise ParseError(lineno, f"bad input count {parts[1]!r}") from None
     lineno, bits = lines[1]
-    if len(bits) != 2 ** n or any(c not in "01" for c in bits):
+    table = np.frombuffer(bits.encode(), np.uint8) - ord("0")
+    if len(table) != 2 ** n or not np.all(table <= 1):
         raise ParseError(
             lineno, f"expected a bitstring of length {2 ** n}"
         )
-    return Oracle(n, tuple(int(c) for c in bits), name=name)
+    return Oracle(n, table, name=name)
 
 
 def load_oracle(path: str, name: str = "") -> Oracle:
@@ -215,6 +227,5 @@ def load_oracle(path: str, name: str = "") -> Oracle:
 
 
 def serialize_oracle(oracle: Oracle) -> str:
-    return f"inputs {oracle.n_inputs}\n" + "".join(
-        str(b) for b in oracle.table
-    ) + "\n"
+    bits = np.frombuffer(oracle.table, np.uint8) + ord("0")
+    return f"inputs {oracle.n_inputs}\n{bits.tobytes().decode()}\n"

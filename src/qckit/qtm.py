@@ -8,11 +8,15 @@ the window edges so the step operator stays square.
 
 Configuration enumeration is lexicographic by (state index, head position,
 tape word with cell 0 most significant), fixed so matrices reproduce
-byte-for-byte across runs.
+byte-for-byte across runs: a configuration's index is its C-order flat
+index in an array of shape (n_states, tape_cells) + (n_symbols,) *
+tape_cells, whose axes are the state, the head and each cell's symbol.
+The step operator and the oracle call work on views of that array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +29,10 @@ from qckit.errors import (
     WellFormednessError,
     at_line,
 )
-from qckit.oracle import Oracle, QueryCounter
+from qckit.oracle import Oracle, QueryCounter, _xor_permute
 
 MAX_CONFIGS = 4096
+MAX_TAPE_CELLS = 30  # a configuration array has 2 + tape_cells axes (<= 32)
 
 
 @dataclass(frozen=True)
@@ -94,10 +99,11 @@ class ConfigSpace:
             raise DimensionError(
                 f"tape window needs at least 1 cell, got {self.tape_cells}"
             )
-        self.n_states = len(self.qtm.states)
-        self.n_symbols = len(self.qtm.alphabet)
-        self.n_words = self.n_symbols ** self.tape_cells
-        self.size = self.n_states * self.tape_cells * self.n_words
+        if self.tape_cells > MAX_TAPE_CELLS:
+            raise CapacityError(f"tape window exceeds {MAX_TAPE_CELLS} cells")
+        self.shape = ((len(self.qtm.states), self.tape_cells)
+                      + (len(self.qtm.alphabet),) * self.tape_cells)
+        self.size = math.prod(self.shape)
         if self.size > MAX_CONFIGS:
             raise CapacityError(
                 f"configuration space size {self.size} exceeds {MAX_CONFIGS}"
@@ -106,23 +112,14 @@ class ConfigSpace:
         self._symbol_index = {s: i for i, s in enumerate(self.qtm.alphabet)}
 
     def index(self, state: str, head: int, word: tuple[str, ...]) -> int:
-        w = 0
-        for sym in word:
-            w = w * self.n_symbols + self._symbol_index[sym]
-        return (
-            self._state_index[state] * self.tape_cells + head
-        ) * self.n_words + w
+        coords = [self._state_index[state], head,
+                  *(self._symbol_index[sym] for sym in word)]
+        return int(np.ravel_multi_index(coords, self.shape))
 
     def decode(self, index: int) -> tuple[str, int, tuple[str, ...]]:
-        w = index % self.n_words
-        rest = index // self.n_words
-        head = rest % self.tape_cells
-        state = self.qtm.states[rest // self.tape_cells]
-        word = []
-        for _ in range(self.tape_cells):
-            word.append(self.qtm.alphabet[w % self.n_symbols])
-            w //= self.n_symbols
-        return state, head, tuple(reversed(word))
+        state, head, *word = np.unravel_index(index, self.shape)
+        return (self.qtm.states[state], int(head),
+                tuple(self.qtm.alphabet[sym] for sym in word))
 
     def label(self, index: int) -> str:
         state, head, word = self.decode(index)
@@ -152,16 +149,20 @@ def step_operator(qtm: QTMDef, tape_cells: int) -> np.ndarray:
     not asserted here (that is check_well_formed's job).
     """
     space = ConfigSpace(qtm, tape_cells)
+    configs = np.arange(space.size).reshape(space.shape)
     m = np.zeros((space.size, space.size), dtype=np.complex128)
-    for c in range(space.size):
-        state, head, word = space.decode(c)
-        for tr in qtm.transitions.get((state, word[head]), []):
-            new_word = list(word)
-            new_word[head] = tr.symbol
-            step = 1 if tr.direction == "R" else -1
-            new_head = (head + step) % tape_cells
-            c2 = space.index(tr.state, new_head, tuple(new_word))
-            m[c2, c] += tr.amplitude
+    for (state, sym), branches in qtm.transitions.items():
+        for head in range(tape_cells):
+            # the configurations in `state` with the head on `head` reading
+            # `sym`, and those each branch maps them to, by the other cells
+            src = configs[space._state_index[state], head]
+            src = src.take(space._symbol_index[sym], axis=head)
+            for tr in branches:
+                step = 1 if tr.direction == "R" else -1
+                dst = configs[space._state_index[tr.state],
+                              (head + step) % tape_cells]
+                dst = dst.take(space._symbol_index[tr.symbol], axis=head)
+                m[dst, src] += tr.amplitude
     return m
 
 
@@ -173,12 +174,30 @@ def check_well_formed(
     Violations report offending configuration pairs of the Gram matrix
     M†M (diagonal entries are squared column norms).
     """
-    space = ConfigSpace(qtm, tape_cells)
     m = step_operator(qtm, tape_cells)
+    violations = _violations(qtm, tape_cells, m, tol)
+    return not violations, violations
+
+
+def _well_formed_step(qtm: QTMDef, tape_cells: int) -> np.ndarray:
+    """The step operator, or WellFormednessError if it is not unitary."""
+    m = step_operator(qtm, tape_cells)
+    violations = _violations(qtm, tape_cells, m, 1e-9)
+    if violations:
+        raise WellFormednessError(
+            "machine is not well-formed on this window: "
+            + "; ".join(violations[:3])
+        )
+    return m
+
+
+def _violations(qtm: QTMDef, tape_cells: int, m: np.ndarray,
+                tol: float) -> list[str]:
+    """Entries of M†M at least tol away from the identity, as messages."""
+    space = ConfigSpace(qtm, tape_cells)
     gram = m.conj().T @ m
-    dev = gram - np.eye(space.size)
     violations = []
-    rows, cols = np.nonzero(np.abs(dev) >= tol)
+    rows, cols = np.nonzero(np.abs(gram - np.eye(space.size)) >= tol)
     for i, j in zip(rows, cols):
         if i == j:
             violations.append(
@@ -191,7 +210,7 @@ def check_well_formed(
                 f"orthogonal (inner product magnitude "
                 f"{abs(gram[i, j]):.3g})"
             )
-    return len(violations) == 0, violations
+    return violations
 
 
 def initial_qtm_state(
@@ -204,8 +223,7 @@ def initial_qtm_state(
         raise CapacityError(
             f"input length {len(symbols)} exceeds window {tape_cells}"
         )
-    blank = qtm.alphabet[0]
-    word = tuple(symbols + [blank] * (tape_cells - len(symbols)))
+    word = tuple(symbols + [qtm.alphabet[0]] * (tape_cells - len(symbols)))
     for sym in word:
         if sym not in qtm.alphabet:
             raise DimensionError(f"input symbol {sym!r} not in alphabet")
@@ -219,14 +237,8 @@ def run_qtm(
     qtm: QTMDef, input_word: str | list[str], steps: int, tape_cells: int
 ) -> QTMState:
     """Evolve the padded initial configuration for `steps` delta-steps."""
-    ok, violations = check_well_formed(qtm, tape_cells)
-    if not ok:
-        raise WellFormednessError(
-            "machine is not well-formed on this window: "
-            + "; ".join(violations[:3])
-        )
+    m = _well_formed_step(qtm, tape_cells)
     state = initial_qtm_state(qtm, input_word, tape_cells)
-    m = step_operator(qtm, tape_cells)
     amps = state.amps
     for _ in range(steps):
         amps = m @ amps
@@ -258,32 +270,30 @@ def oracle_step(
     for cell in cells:
         if not 0 <= cell < space.tape_cells:
             raise DimensionError(f"cell {cell} outside the tape window")
-    for sym in ("0", "1"):
-        if sym not in space.qtm.alphabet:
-            raise DimensionError(
-                "oracle_step needs '0' and '1' in the alphabet"
-            )
+    if not {"0", "1"} <= set(space.qtm.alphabet):
+        raise DimensionError("oracle_step needs '0' and '1' in the alphabet")
 
-    new_amps = np.zeros_like(state.amps)
-    for c in range(space.size):
-        amp = state.amps[c]
-        if amp == 0:
-            continue
-        q, head, word = space.decode(c)
-        picked = [word[cell] for cell in cells]
-        if any(sym not in ("0", "1") for sym in picked):
-            raise StateError(
-                f"non-binary symbol at queried cells in {space.label(c)}"
-            )
-        x = int("".join(word[cell] for cell in x_cells), 2)
-        if oracle.table[x]:
-            new_word = list(word)
-            new_word[b_cell] = "1" if word[b_cell] == "0" else "0"
-            c = space.index(q, head, tuple(new_word))
-        new_amps[c] += amp
+    # The block of configurations with binary symbols on every queried
+    # cell holds all the amplitude; the oracle permutes it.
+    axes = [range(n) for n in space.shape]
+    for cell in cells:
+        axes[2 + cell] = [space._symbol_index[sym] for sym in ("0", "1")]
+    block = np.ix_(*axes)
+    amps = state.amps.reshape(space.shape)
+    outside = amps != 0
+    outside[block] = False
+    if outside.any():
+        first = space.label(int(outside.argmax()))
+        raise StateError(f"non-binary symbol at queried cells in {first}")
+    sub = amps[block]
+    permuted = np.empty_like(sub)
+    _xor_permute(oracle.table, sub, permuted,
+                 [2 + cell for cell in x_cells], 2 + b_cell)
+    new_amps = np.zeros(space.shape, dtype=np.complex128)
+    new_amps[block] += permuted  # onto zeros, so -0.0 lands as +0.0
     if counter is not None:
         counter.quantum_queries += 1
-    return QTMState(space, new_amps)
+    return QTMState(space, new_amps.reshape(-1))
 
 
 def parse_qtm(text: str) -> QTMDef:

@@ -261,6 +261,26 @@ class TestInputBoundary:
         assert_one_error(code, err)
         assert "tolerance" in err
 
+    @pytest.mark.parametrize("char", ["2", " ", "é"])
+    def test_bad_oracle_bitstring_names_line(self, tmp_path, capsys, char):
+        path = tmp_path / "f.oracle"
+        path.write_text(f"inputs 2\n01{char}0\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "dj", str(path))
+        assert_one_error(code, err, line=2)
+        assert "bitstring" in err
+
+    @pytest.mark.parametrize("command, text", [
+        ("dj", b"inputs 2\n01\xe910\n"),
+        ("run", b"qubits 1\nh 0 # \xe9\n"),
+        ("qtm-check", b"states q0 ; initial q0 ; final q0 # \xe9\n"),
+    ])
+    def test_file_not_utf8(self, tmp_path, capsys, command, text):
+        path = tmp_path / "input"
+        path.write_bytes(text)
+        code, _, err = run_cli(capsys, command, str(path))
+        assert_one_error(code, err)
+        assert "utf-8" in err
+
     @pytest.mark.parametrize("text, line, message", [
         (MOVE_RIGHT.replace("R 1 0\nq0 1", "R 1 0\nq0 1 -> q9 1 R 1 0\nq0 1"),
          4, "undeclared state 'q9'"),

@@ -204,3 +204,53 @@ class TestOracleFormat:
     def test_bad_header(self):
         with pytest.raises(ParseError):
             parse_oracle("qubits 2\n0110\n")
+
+
+class TestTableBoundary:
+    BITS = (0, 1, 1, 0, 1, 0, 0, 1)
+
+    @pytest.mark.parametrize("table", [
+        BITS, list(BITS), np.array(BITS), np.array(BITS, dtype=bool),
+        np.array(BITS, dtype=np.uint8), np.array(BITS, dtype=float),
+        bytes(BITS),
+    ], ids=["tuple", "list", "int-array", "bool-array", "uint8-array",
+            "float-array", "bytes"])
+    def test_every_form_gives_one_oracle(self, table):
+        o = Oracle(3, table, name="f")
+        ref = Oracle(3, self.BITS, name="f")
+        assert o == ref and hash(o) == hash(ref)
+        assert o.table == bytes(self.BITS)
+        assert [o.table[x] for x in range(8)] == list(self.BITS)
+
+    @pytest.mark.parametrize("table", [
+        (0, 1, 2, 0), (0, -1, 1, 0), (0, 0.5, 1, 0), ("0", "1", "1", "0"),
+        b"\x00\x01\x02\x00", np.array([0, 1, 1, 0], dtype=complex),
+    ], ids=["two", "minus-one", "half", "strings", "byte-two", "complex"])
+    def test_non_bits_rejected(self, table):
+        with pytest.raises(DimensionError, match="bits"):
+            Oracle(2, table)
+
+    @pytest.mark.parametrize("table", [
+        [[0, 1], [1, 0]], np.zeros((2, 2)), [[0, 1], [1]], 1, "0110", None,
+    ], ids=["nested", "2-d-array", "ragged", "scalar", "string", "none"])
+    def test_non_1d_rejected(self, table):
+        with pytest.raises(DimensionError, match="1-D"):
+            Oracle(2, table)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DimensionError, match="length"):
+            Oracle(2, (0, 1, 1))
+
+    @pytest.mark.parametrize("char", ["2", " ", "é"])
+    def test_bad_bitstring_character_names_line(self, char):
+        with pytest.raises(ParseError, match="line 3:"):
+            parse_oracle(f"# f\ninputs 2\n01{char}0\n")
+
+    @pytest.mark.parametrize("n", [1, 20])
+    def test_round_trip(self, n):
+        table = np.random.default_rng(n).integers(0, 2, 2 ** n)
+        text = f"inputs {n}\n" + "".join(map(str, table)) + "\n"
+        o = parse_oracle(text, name="f")
+        assert o.table == table.astype(np.uint8).tobytes()
+        assert serialize_oracle(o) == text
+        assert parse_oracle(serialize_oracle(o), name="f") == o

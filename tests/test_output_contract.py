@@ -2,8 +2,9 @@
 byte for byte, apart from the trailing `wall_time_ms` field.
 
 The expected reports in `data/output_contract.json` were captured from the
-tensordot kernel that the GEMM kernel replaced. Regenerate them only for an
-intended change of output:
+tensordot kernel that the GEMM kernel replaced, and the `qtm-check` reports
+from the per-configuration step-operator loop that the array-index form
+replaced. Regenerate them only for an intended change of output:
 
     PYTHONPATH=src python tests/test_output_contract.py --write
 """
@@ -68,6 +69,14 @@ FILES = {
         "q0 1 -> q0 0 R 0.7071067811865476 0",
         "q0 1 -> q0 1 R -0.7071067811865476 0",
     ]),
+    "doubled.qtm": "\n".join([
+        "states q0 ; initial q0 ; final q0", "alphabet 0 1",
+        "q0 0 -> q0 0 R 1 0", "q0 0 -> q0 1 R 1 0", "q0 1 -> q0 1 R 1 0",
+    ]),
+    "partial.qtm": "\n".join([
+        "states q0 ; initial q0 ; final q0", "alphabet 0 1",
+        "q0 0 -> q0 0 R 1 0",
+    ]),
 }
 
 COMMANDS = (
@@ -82,6 +91,8 @@ COMMANDS = (
        ["compile", "coin.qtm", "--tape-cells", "3", "-o", "coin3.circuit"],
        ["dj", "balanced.oracle"],
        ["shor", "15", "--seed", "1"]]
+    + [["qtm-check", machine, "--tape-cells", str(cells)]
+       for machine in ("doubled.qtm", "partial.qtm") for cells in (2, 3, 4)]
 )
 
 

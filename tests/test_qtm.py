@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qckit.errors import (
     CapacityError,
@@ -10,6 +13,7 @@ from qckit.errors import (
 )
 from qckit.oracle import Oracle, QueryCounter, oracle_gate
 from qckit.qtm import (
+    MAX_TAPE_CELLS,
     ConfigSpace,
     QTMDef,
     QTMState,
@@ -46,6 +50,16 @@ class TestConfigSpace:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             ConfigSpace(move_right_machine(), 11)
+
+    def test_one_symbol_window_cap(self):
+        # one axis per cell: the widest window keeps the array at 32 axes
+        machine = QTMDef(["q0"], ["_"], "q0", "q0",
+                         {("q0", "_"): [Transition("q0", "_", "R", 1.0)]})
+        assert check_well_formed(machine, MAX_TAPE_CELLS)[0]
+        space = ConfigSpace(machine, MAX_TAPE_CELLS)
+        assert space.decode(space.size - 1)[1] == MAX_TAPE_CELLS - 1
+        with pytest.raises(CapacityError, match="cells"):
+            ConfigSpace(machine, MAX_TAPE_CELLS + 1)
 
 
 class TestStepOperator:
@@ -254,3 +268,148 @@ q0 0 -> q0 1 R 0.7071067811865476 0
                 ["q0", "qf"], ["_"], "q0", "qf",
                 {("qf", "_"): [Transition("qf", "_", "R", 1.0)]},
             )
+
+
+class _LoopSpace:
+    """Configuration enumeration by integer arithmetic, one configuration
+    at a time: the reference the array-index ConfigSpace must match."""
+
+    def __init__(self, qtm, tape_cells):
+        self.qtm, self.cells = qtm, tape_cells
+        self.n_sym = len(qtm.alphabet)
+        self.n_words = self.n_sym ** tape_cells
+        self.size = len(qtm.states) * tape_cells * self.n_words
+
+    def index(self, state, head, word):
+        w = 0
+        for sym in word:
+            w = w * self.n_sym + self.qtm.alphabet.index(sym)
+        return ((self.qtm.states.index(state) * self.cells + head)
+                * self.n_words + w)
+
+    def decode(self, c):
+        w, rest = c % self.n_words, c // self.n_words
+        word = []
+        for _ in range(self.cells):
+            word.append(self.qtm.alphabet[w % self.n_sym])
+            w //= self.n_sym
+        return (self.qtm.states[rest // self.cells], rest % self.cells,
+                tuple(reversed(word)))
+
+    def label(self, c):
+        state, head, word = self.decode(c)
+        return f"({state}, head={head}, tape={''.join(word)})"
+
+
+def loop_step_operator(qtm, tape_cells):
+    """Per-configuration construction of the step operator."""
+    space = _LoopSpace(qtm, tape_cells)
+    m = np.zeros((space.size, space.size), dtype=np.complex128)
+    for c in range(space.size):
+        state, head, word = space.decode(c)
+        for tr in qtm.transitions.get((state, word[head]), []):
+            new_word = list(word)
+            new_word[head] = tr.symbol
+            step = 1 if tr.direction == "R" else -1
+            c2 = space.index(tr.state, (head + step) % tape_cells,
+                             tuple(new_word))
+            m[c2, c] += tr.amplitude
+    return m
+
+
+def loop_oracle_step(qtm, tape_cells, amps, oracle, x_cells, b_cell):
+    """Per-configuration XOR oracle call on the tape."""
+    space = _LoopSpace(qtm, tape_cells)
+    new_amps = np.zeros_like(amps)
+    for c in range(space.size):
+        amp = amps[c]
+        if amp == 0:
+            continue
+        q, head, word = space.decode(c)
+        if any(word[cell] not in ("0", "1") for cell in [*x_cells, b_cell]):
+            raise StateError(
+                f"non-binary symbol at queried cells in {space.label(c)}"
+            )
+        if oracle.table[int("".join(word[cell] for cell in x_cells), 2)]:
+            new_word = list(word)
+            new_word[b_cell] = "1" if word[b_cell] == "0" else "0"
+            c = space.index(q, head, tuple(new_word))
+        new_amps[c] += amp
+    return new_amps
+
+
+AMPLITUDES = [1.0, -1.0, INV_SQRT2, -INV_SQRT2, 0.6j, complex(0.8, -0.0),
+              complex(-0.0, -0.5)]
+MAX_TEST_CONFIGS = 1500
+
+
+@st.composite
+def machines(draw, alphabets):
+    states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    alphabet = list(draw(alphabets))
+    transitions = {}
+    for key in itertools.product(states, alphabet):
+        if not draw(st.booleans()):
+            continue
+        branches = draw(st.lists(st.builds(
+            Transition, st.sampled_from(states), st.sampled_from(alphabet),
+            st.sampled_from("LR"), st.sampled_from(AMPLITUDES),
+        ), min_size=1, max_size=3))
+        if draw(st.booleans()):  # the same branch twice on one key
+            branches.append(branches[0])
+        transitions[key] = branches
+    machine = QTMDef(states, alphabet, "q0", "q0", transitions)
+    cells = draw(st.integers(1, 5))
+    assume(len(states) * cells * len(alphabet) ** cells <= MAX_TEST_CONFIGS)
+    return machine, cells
+
+
+ANY_ALPHABET = st.sampled_from(["_", "01", "ab_", "_01", "10"])
+BINARY_ALPHABET = st.sampled_from(["01", "10", "_01", "0_1", "10_"])
+
+
+class TestDifferential:
+    @given(machines(ANY_ALPHABET))
+    @settings(max_examples=80, deadline=None)
+    def test_step_operator_matches_loop(self, case):
+        machine, cells = case
+        got = step_operator(machine, cells)
+        want = loop_step_operator(machine, cells)
+        assert got.tobytes() == want.tobytes()
+        space, ref = ConfigSpace(machine, cells), _LoopSpace(machine, cells)
+        for c in range(space.size):
+            assert space.decode(c) == ref.decode(c)
+            assert space.index(*ref.decode(c)) == c
+            assert space.label(c) == ref.label(c)
+
+    @given(machines(BINARY_ALPHABET), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_oracle_step_matches_loop(self, case, data):
+        machine, cells = case
+        assume(cells >= 2)
+        order = data.draw(st.permutations(range(cells)))
+        n_inputs = data.draw(st.integers(1, cells - 1))
+        x_cells, b_cell = list(order[:n_inputs]), order[n_inputs]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        oracle = Oracle(n_inputs, rng.integers(0, 2, 2 ** n_inputs))
+        space, ref = ConfigSpace(machine, cells), _LoopSpace(machine, cells)
+        amps = rng.normal(size=space.size) + 1j * rng.normal(size=space.size)
+        if data.draw(st.booleans()):  # clear the non-binary configurations
+            for c in range(space.size):
+                word = ref.decode(c)[2]
+                if any(word[k] == "_" for k in [*x_cells, b_cell]):
+                    amps[c] = 0.0
+        amps[rng.random(space.size) < 0.2] = complex(-0.0, -0.0)
+        amps[rng.random(space.size) < 0.1] = complex(0.3, -0.0)
+        state = QTMState(space, amps.copy())
+        try:
+            want = loop_oracle_step(machine, cells, amps, oracle, x_cells,
+                                    b_cell)
+        except StateError as exc:
+            with pytest.raises(StateError) as got:
+                oracle_step(state, oracle, x_cells, b_cell)
+            assert str(got.value) == str(exc)
+            return
+        got = oracle_step(state, oracle, x_cells, b_cell)
+        assert got.amps.tobytes() == want.tobytes()
+        assert state.amps.tobytes() == amps.tobytes()
