@@ -18,7 +18,7 @@ import numpy as np
 from qckit.circuit import NAMED, UNITARY, Circuit, GateApp, circuit_unitary
 from qckit.errors import CapacityError, DimensionError, QckitError
 from qckit.gates import _unitarity_deviation
-from qckit.qtm import QTMDef, QTMState, _well_formed_step
+from qckit.qtm import QTMDef, QTMState, _well_formed_step, step_operator
 from qckit.state import StateVector
 
 MAX_DECOMPOSE_DIM = 256
@@ -269,11 +269,12 @@ def compile_qtm_step(
 ) -> tuple[Circuit, CompilationReport]:
     """Compile the machine's one-step evolution into a circuit whose full
     unitary matches the padded step operator within tol."""
-    m = _well_formed_step(qtm, tape_cells)
-    if m.shape[0] > MAX_DECOMPOSE_DIM:
+    size = _well_formed_step(qtm, tape_cells).space.size
+    if size > MAX_DECOMPOSE_DIM:
         raise CapacityError(
-            f"configuration count {m.shape[0]} exceeds {MAX_DECOMPOSE_DIM}"
+            f"configuration count {size} exceeds {MAX_DECOMPOSE_DIM}"
         )
+    m = step_operator(qtm, tape_cells)
     padded = pad_to_power_of_two(m)
     circuit, report = compile_unitary(padded, tol=tol, name="qtm_step")
     report.source_dim = m.shape[0]

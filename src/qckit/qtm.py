@@ -12,12 +12,19 @@ byte-for-byte across runs: a configuration's index is its C-order flat
 index in an array of shape (n_states, tape_cells) + (n_symbols,) *
 tape_cells, whose axes are the state, the head and each cell's symbol.
 The step operator and the oracle call work on views of that array.
+
+The step operator has at most one nonzero per (configuration, branch), so
+it is built as index arrays of the entries the branches reach. Well-formedness is
+computed from those nonzeros: the Gram matrix M†M is summed over pairs of
+entries that share a row, and run_qtm steps with the same entries. Only
+the public step_operator, which the compiler uses, is a dense matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,8 +129,19 @@ class ConfigSpace:
                 tuple(self.qtm.alphabet[sym] for sym in word))
 
     def label(self, index: int) -> str:
-        state, head, word = self.decode(index)
-        return f"({state}, head={head}, tape={''.join(word)})"
+        return self.labels([index])[0]
+
+    def labels(self, indices) -> list[str]:
+        """The label of each index, decoded with one np.unravel_index."""
+        state, head, *word = np.unravel_index(
+            np.asarray(indices, dtype=np.intp), self.shape)
+        symbols = np.array(self.qtm.alphabet, dtype=object)
+        tapes = symbols[word[0]]
+        for cell in word[1:]:
+            tapes = tapes + symbols[cell]
+        names = np.array(self.qtm.states, dtype=object)[state]
+        return [f"({q}, head={h}, tape={t})"
+                for q, h, t in zip(names, head.tolist(), tapes)]
 
 
 @dataclass
@@ -142,15 +160,34 @@ class QTMState:
         return float(np.linalg.norm(self.amps))
 
 
-def step_operator(qtm: QTMDef, tape_cells: int) -> np.ndarray:
-    """One-step evolution matrix M with M[c', c] the amplitude of c -> c'.
+class _Step(NamedTuple):
+    """The step operator's entries M[rows[k], cols[k]] = vals[k] that some
+    branch reaches (branches that cancel leave a 0), one per (row, col)
+    and sorted row-major."""
 
-    Columns of undefined (state, symbol) pairs are all zero; unitarity is
-    not asserted here (that is check_well_formed's job).
-    """
+    space: ConfigSpace
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        """M @ amps."""
+        return _sum_at(self.rows, self.vals * amps[self.cols], self.space.size)
+
+
+def _sum_at(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[k] = the sum of values[index == k], added in input order."""
+    out = np.zeros(size, dtype=np.complex128)
+    np.add.at(out, index, values)
+    return out
+
+
+def _step_entries(qtm: QTMDef, tape_cells: int) -> _Step:
+    """The step operator's entries; branches of one (state, symbol) pair
+    that reach the same configuration are summed in branch order."""
     space = ConfigSpace(qtm, tape_cells)
     configs = np.arange(space.size).reshape(space.shape)
-    m = np.zeros((space.size, space.size), dtype=np.complex128)
+    keys, amps = [np.empty(0, dtype=np.intp)], []
     for (state, sym), branches in qtm.transitions.items():
         for head in range(tape_cells):
             # the configurations in `state` with the head on `head` reading
@@ -162,7 +199,24 @@ def step_operator(qtm: QTMDef, tape_cells: int) -> np.ndarray:
                 dst = configs[space._state_index[tr.state],
                               (head + step) % tape_cells]
                 dst = dst.take(space._symbol_index[tr.symbol], axis=head)
-                m[dst, src] += tr.amplitude
+                keys.append((dst * space.size + src).reshape(-1))
+                amps.append(tr.amplitude)
+    vals = np.repeat(np.array(amps, dtype=np.complex128),
+                     [k.size for k in keys[1:]])
+    entries, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    rows, cols = np.divmod(entries, space.size)
+    return _Step(space, rows, cols, _sum_at(inverse, vals, entries.size))
+
+
+def step_operator(qtm: QTMDef, tape_cells: int) -> np.ndarray:
+    """One-step evolution matrix M with M[c', c] the amplitude of c -> c'.
+
+    Columns of undefined (state, symbol) pairs are all zero; unitarity is
+    not asserted here (that is check_well_formed's job).
+    """
+    step = _step_entries(qtm, tape_cells)
+    m = np.zeros((step.space.size, step.space.size), dtype=np.complex128)
+    m[step.rows, step.cols] = step.vals
     return m
 
 
@@ -172,43 +226,71 @@ def check_well_formed(
     """True iff the step operator is unitary on the window within tol.
 
     Violations report offending configuration pairs of the Gram matrix
-    M†M (diagonal entries are squared column norms).
+    M†M (diagonal entries are squared column norms), in row-major order.
+    The Gram matrix is computed from the step operator's nonzeros, without
+    a dense matrix.
     """
-    m = step_operator(qtm, tape_cells)
-    violations = _violations(qtm, tape_cells, m, tol)
+    violations = _violations(_step_entries(qtm, tape_cells), tol)
     return not violations, violations
 
 
-def _well_formed_step(qtm: QTMDef, tape_cells: int) -> np.ndarray:
-    """The step operator, or WellFormednessError if it is not unitary."""
-    m = step_operator(qtm, tape_cells)
-    violations = _violations(qtm, tape_cells, m, 1e-9)
+def _well_formed_step(qtm: QTMDef, tape_cells: int) -> _Step:
+    """The step operator's entries, or WellFormednessError if it is not
+    unitary."""
+    step = _step_entries(qtm, tape_cells)
+    violations = _violations(step, 1e-9)
     if violations:
         raise WellFormednessError(
             "machine is not well-formed on this window: "
             + "; ".join(violations[:3])
         )
-    return m
+    return step
 
 
-def _violations(qtm: QTMDef, tape_cells: int, m: np.ndarray,
-                tol: float) -> list[str]:
-    """Entries of M†M at least tol away from the identity, as messages."""
-    space = ConfigSpace(qtm, tape_cells)
-    gram = m.conj().T @ m
+def _gram_violations(
+    step: _Step, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (i, j, G[i, j]) of G = M†M with i <= j that are at least tol
+    away from the identity, in row-major order."""
+    size, rows, cols, vals = step.space.size, step.rows, step.cols, step.vals
+    # every column is on the diagonal, an empty one with squared norm 0
+    norms = np.bincount(cols, vals.real ** 2 + vals.imag ** 2, size)
+    # off the diagonal, G[i, j] sums conj(M[r, i]) M[r, j] over the rows r
+    # that both columns reach. The entries are sorted by row, so two in one
+    # row are some d apart, and once no pair d apart shares a row no pair
+    # further apart does.
+    keys = [np.empty(0, dtype=np.intp)]
+    products = [np.empty(0, dtype=np.complex128)]
+    for d in range(1, len(rows)):
+        first = np.flatnonzero(rows[d:] == rows[:-d])
+        if not first.size:
+            break
+        keys.append(cols[first] * size + cols[first + d])
+        products.append(vals[first].conj() * vals[first + d])
+    pairs, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    inner = _sum_at(inverse, np.concatenate(products), pairs.size)
+    diagonal = np.flatnonzero(np.abs(norms - 1) >= tol)
+    off = np.abs(inner) >= tol
+    found = np.concatenate([diagonal * (size + 1), pairs[off]])
+    order = np.argsort(found)
+    i, j = np.divmod(found[order], size)
+    return i, j, np.concatenate([norms[diagonal], inner[off]])[order]
+
+
+def _violations(step: _Step, tol: float) -> list[str]:
+    """The Gram entries of _gram_violations, as messages."""
+    i, j, gram = _gram_violations(step, tol)
+    labels = step.space.labels(np.concatenate([i, j]))
     violations = []
-    rows, cols = np.nonzero(np.abs(gram - np.eye(space.size)) >= tol)
-    for i, j in zip(rows, cols):
-        if i == j:
+    for a, b, g, label_a, label_b in zip(i, j, gram, labels, labels[i.size:]):
+        if a == b:
             violations.append(
-                f"column {space.label(j)} has squared norm "
-                f"{gram[j, j].real:.6g}"
+                f"column {label_b} has squared norm {g.real:.6g}"
             )
-        elif i < j:
+        else:
             violations.append(
-                f"columns {space.label(i)} and {space.label(j)} are not "
-                f"orthogonal (inner product magnitude "
-                f"{abs(gram[i, j]):.3g})"
+                f"columns {label_a} and {label_b} are not orthogonal "
+                f"(inner product magnitude {abs(g):.3g})"
             )
     return violations
 
@@ -237,11 +319,11 @@ def run_qtm(
     qtm: QTMDef, input_word: str | list[str], steps: int, tape_cells: int
 ) -> QTMState:
     """Evolve the padded initial configuration for `steps` delta-steps."""
-    m = _well_formed_step(qtm, tape_cells)
+    step = _well_formed_step(qtm, tape_cells)
     state = initial_qtm_state(qtm, input_word, tape_cells)
     amps = state.amps
     for _ in range(steps):
-        amps = m @ amps
+        amps = step.apply(amps)
     return QTMState(state.space, amps)
 
 

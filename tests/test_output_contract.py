@@ -2,9 +2,11 @@
 byte for byte, apart from the trailing `wall_time_ms` field.
 
 The expected reports in `data/output_contract.json` were captured from the
-tensordot kernel that the GEMM kernel replaced, and the `qtm-check` reports
+tensordot kernel that the GEMM kernel replaced, the `qtm-check` reports
 from the per-configuration step-operator loop that the array-index form
-replaced. Regenerate them only for an intended change of output:
+replaced, and the `qtm-check` reports of doubled at 5 cells, partial at 6
+and mixed at 4 from the dense Gram scan that the sparse one replaced.
+Regenerate them only for an intended change of output:
 
     PYTHONPATH=src python tests/test_output_contract.py --write
 """
@@ -77,6 +79,12 @@ FILES = {
         "states q0 ; initial q0 ; final q0", "alphabet 0 1",
         "q0 0 -> q0 0 R 1 0",
     ]),
+    # two states, both directions, short and overlapping columns
+    "mixed.qtm": "\n".join([
+        "states a b ; initial a ; final a", "alphabet 0 1",
+        "a 0 -> b 1 R 1 0", "a 1 -> a 0 L 0.6 0", "a 1 -> b 1 R 0.8 0",
+        "b 0 -> a 0 L 0.5 0", "b 1 -> b 0 L 0.6 0", "b 1 -> a 1 R 0.8 0",
+    ]),
 }
 
 COMMANDS = (
@@ -93,6 +101,9 @@ COMMANDS = (
        ["shor", "15", "--seed", "1"]]
     + [["qtm-check", machine, "--tape-cells", str(cells)]
        for machine in ("doubled.qtm", "partial.qtm") for cells in (2, 3, 4)]
+    + [["qtm-check", "doubled.qtm", "--tape-cells", "5"],
+       ["qtm-check", "partial.qtm", "--tape-cells", "6"],
+       ["qtm-check", "mixed.qtm", "--tape-cells", "4"]]
 )
 
 

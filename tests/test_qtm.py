@@ -1,8 +1,9 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qckit.errors import (
     CapacityError,
@@ -13,6 +14,7 @@ from qckit.errors import (
 )
 from qckit.oracle import Oracle, QueryCounter, oracle_gate
 from qckit.qtm import (
+    MAX_CONFIGS,
     MAX_TAPE_CELLS,
     ConfigSpace,
     QTMDef,
@@ -24,6 +26,8 @@ from qckit.qtm import (
     parse_qtm,
     run_qtm,
     step_operator,
+    _gram_violations,
+    _step_entries,
 )
 
 from conftest import (
@@ -31,6 +35,7 @@ from conftest import (
     doubled_branch_machine,
     move_right_machine,
     partial_machine,
+    random_unitary,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -344,7 +349,7 @@ MAX_TEST_CONFIGS = 1500
 
 
 @st.composite
-def machines(draw, alphabets):
+def machines(draw, alphabets, amplitudes=AMPLITUDES):
     states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
     alphabet = list(draw(alphabets))
     transitions = {}
@@ -353,7 +358,7 @@ def machines(draw, alphabets):
             continue
         branches = draw(st.lists(st.builds(
             Transition, st.sampled_from(states), st.sampled_from(alphabet),
-            st.sampled_from("LR"), st.sampled_from(AMPLITUDES),
+            st.sampled_from("LR"), st.sampled_from(amplitudes),
         ), min_size=1, max_size=3))
         if draw(st.booleans()):  # the same branch twice on one key
             branches.append(branches[0])
@@ -413,3 +418,171 @@ class TestDifferential:
         got = oracle_step(state, oracle, x_cells, b_cell)
         assert got.amps.tobytes() == want.tobytes()
         assert state.amps.tobytes() == amps.tobytes()
+
+
+def dense_violations(m, tol):
+    """The dense Gram scan check_well_formed ran before the sparse one:
+    entries (i, j, G[i, j]) of G = M†M with i <= j at least tol away from
+    the identity, row-major."""
+    gram = m.conj().T @ m
+    rows, cols = np.nonzero(np.abs(gram - np.eye(len(m))) >= tol)
+    upper = rows <= cols
+    return rows[upper], cols[upper], gram[rows[upper], cols[upper]]
+
+
+def violation_messages(qtm, tape_cells, rows, cols, gram):
+    """The dense scan's message for each Gram entry, one label at a time."""
+    space = _LoopSpace(qtm, tape_cells)
+    violations = []
+    for i, j, g in zip(rows, cols, gram):
+        if i == j:
+            violations.append(
+                f"column {space.label(j)} has squared norm {g.real:.6g}"
+            )
+        else:
+            violations.append(
+                f"columns {space.label(i)} and {space.label(j)} are not "
+                f"orthogonal (inner product magnitude {abs(g):.3g})"
+            )
+    return violations
+
+
+def _machine(states, alphabet, branches):
+    transitions = {}
+    for q, sym, q2, sym2, direction, amp in branches:
+        transitions.setdefault((q, sym), []).append(
+            Transition(q2, sym2, direction, amp))
+    return QTMDef(states, alphabet, states[0], states[0], transitions)
+
+
+# two branches of one pair that cancel, and an explicit zero amplitude
+CANCELLING = _machine(["q0", "q1"], ["0", "1"], [
+    ("q0", "0", "q1", "1", "R", 1.0), ("q0", "0", "q1", "1", "R", -1.0),
+    ("q0", "1", "q0", "0", "L", 0.0), ("q0", "1", "q1", "1", "R", 1.0),
+    ("q1", "0", "q0", "1", "L", INV_SQRT2),
+])
+NO_TRANSITIONS = _machine(["q0", "q1"], ["0", "1"], [])
+GRAM_AMPLITUDES = AMPLITUDES + [0.0, complex(-0.0, 0.0), -0.6j]
+
+
+@st.composite
+def unidirectional_machines(draw):
+    """Machines that define every (state, symbol) pair and enter each
+    state from one direction only, with their local map D over
+    (state, symbol) -> (state, symbol), on windows of at least 3 cells."""
+    states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    alphabet = list(draw(st.sampled_from(["01", "ab_", "_", "10"])))
+    enters = {q: draw(st.sampled_from("LR")) for q in states}
+    pairs = list(itertools.product(states, alphabet))
+    n = len(pairs)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["unitary", "permutation", "perturbed",
+                                 "drawn"]))
+    if kind == "drawn":
+        d = rng.choice(np.array(GRAM_AMPLITUDES), size=(n, n))
+        d[rng.random((n, n)) < 0.5] = 0.0
+    elif kind == "permutation":
+        d = np.eye(n)[rng.permutation(n)] * np.exp(2j * np.pi * rng.random(n))
+    else:
+        d = random_unitary(n, rng)
+        if kind == "perturbed":
+            d[rng.integers(n), rng.integers(n)] += draw(
+                st.sampled_from([1e-6, 0.5, -1.0]))
+    branches = []
+    for a, (q, sym) in enumerate(pairs):
+        targets = [b for b in range(n) if d[b, a] != 0] or [0]
+        for b in targets:  # an all-zero column keeps one zero branch
+            q2, sym2 = pairs[b]
+            branches.append((q, sym, q2, sym2, enters[q2], complex(d[b, a])))
+    cells = draw(st.integers(3, 6))
+    assume(len(states) * cells * len(alphabet) ** cells <= MAX_TEST_CONFIGS)
+    return _machine(states, alphabet, branches), cells, d
+
+
+class TestSparseStep:
+    @given(machines(ANY_ALPHABET, GRAM_AMPLITUDES))
+    @example((CANCELLING, 1))
+    @example((CANCELLING, 3))
+    @example((NO_TRANSITIONS, 2))
+    @example((doubled_branch_machine(), 4))
+    @settings(max_examples=80, deadline=None)
+    def test_gram_matches_dense(self, case):
+        machine, cells = case
+        want = dense_violations(loop_step_operator(machine, cells), 1e-9)
+        got = _gram_violations(_step_entries(machine, cells), 1e-9)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-12)
+        ok, violations = check_well_formed(machine, cells)
+        assert ok == (want[0].size == 0)
+        assert violations == violation_messages(machine, cells, *got)
+        space, ref = ConfigSpace(machine, cells), _LoopSpace(machine, cells)
+        assert space.labels(np.arange(space.size)) == [
+            ref.label(c) for c in range(space.size)]
+
+    def test_messages_match_dense_scan(self):
+        for machine in (doubled_branch_machine(), partial_machine(),
+                        CANCELLING, NO_TRANSITIONS):
+            for cells in (1, 2, 3):
+                m = loop_step_operator(machine, cells)
+                want = violation_messages(machine, cells,
+                                          *dense_violations(m, 1e-9))
+                assert check_well_formed(machine, cells)[1] == want
+
+    @given(st.one_of(machines(ANY_ALPHABET, GRAM_AMPLITUDES),
+                     unidirectional_machines().map(lambda c: c[:2])),
+           st.integers(0, 2 ** 32 - 1))
+    @example((CANCELLING, 3), 0)
+    @example((NO_TRANSITIONS, 2), 0)
+    @settings(max_examples=80, deadline=None)
+    def test_step_matches_dense_product(self, case, seed):
+        machine, cells = case
+        m = loop_step_operator(machine, cells)
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=len(m)) + 1j * rng.normal(size=len(m))
+        got = _step_entries(machine, cells).apply(amps)
+        np.testing.assert_allclose(got, m @ amps, rtol=0, atol=1e-12)
+        word = "".join(rng.choice(machine.alphabet, size=cells))
+        if not check_well_formed(machine, cells)[0]:
+            with pytest.raises(WellFormednessError):
+                run_qtm(machine, word, 1, cells)
+            return
+        want = initial_qtm_state(machine, word, cells).amps
+        for _ in range(4):
+            want = m @ want
+        got = run_qtm(machine, word, 4, cells).amps
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @given(unidirectional_machines())
+    @settings(max_examples=120, deadline=None)
+    def test_unidirectional_local_condition(self, case):
+        # Bernstein & Vazirani (SIAM J. Comput. 26(5), 1997): a
+        # unidirectional machine is well-formed iff its map D over
+        # (state, symbol) -> (state, symbol) has orthonormal columns
+        machine, cells, d = case
+        local = np.max(np.abs(d.conj().T @ d - np.eye(len(d)))) < 1e-9
+        assert check_well_formed(machine, cells)[0] == local
+
+    def test_max_configs_memory(self):
+        # a dense step operator at MAX_CONFIGS would be 256 MiB
+        good = _machine(["a", "b"], ["0", "1"], [
+            ("a", "0", "b", "1", "R", 1.0), ("a", "1", "a", "0", "L", 1.0),
+            ("b", "0", "a", "1", "L", 1.0), ("b", "1", "b", "0", "R", 1.0),
+        ])
+        bad = _machine(["a", "b"], ["0", "1"], [
+            ("a", "0", "b", "1", "R", 1.0), ("a", "0", "a", "0", "L", 1.0),
+            ("b", "1", "b", "0", "R", 0.6),
+        ])
+        assert ConfigSpace(good, 8).size == MAX_CONFIGS
+        calls = [lambda: check_well_formed(good, 8),
+                 lambda: check_well_formed(bad, 8),
+                 lambda: run_qtm(good, "0110", 20, 8)]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2 ** 20
+        assert not check_well_formed(bad, 8)[0]
