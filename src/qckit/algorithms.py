@@ -14,7 +14,7 @@ import numpy as np
 from qckit.circuit import NAMED, UNITARY, Circuit, GateApp, ORACLE, simulate
 from qckit.errors import CapacityError, DimensionError
 from qckit.oracle import Oracle, QueryCounter
-from qckit.state import _probability_of_one, new_zero_state
+from qckit.state import _born_samples, _probability_of_one, new_zero_state
 
 MAX_QFT_QUBITS = 12
 MAX_SHOR_N = 32
@@ -158,10 +158,8 @@ def order_finding(
     final = simulate(circuit, init)
     # marginal distribution of the precision register
     probs = np.abs(final.amps.reshape(2 ** t, 2 ** w)) ** 2
-    marginal = probs.sum(axis=1)
-    marginal /= marginal.sum()
     rng = np.random.default_rng(rng_seed)
-    y = int(rng.choice(2 ** t, p=marginal))
+    y = int(_born_samples(probs.sum(axis=1), rng))
 
     # continued fractions: convergent denominators up to n, then their
     # multiples (the measured fraction may be a reduced s'/r' with r' | r);

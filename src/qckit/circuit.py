@@ -120,16 +120,14 @@ def simulate(
     circuit: Circuit,
     initial: StateVector | None = None,
     oracle_table: dict[str, Oracle] | None = None,
-    rng_seed: int = 0,
     counter: QueryCounter | None = None,
 ) -> StateVector:
     """Apply every gate of the circuit in order; `initial` is not modified.
 
     Oracle gates are resolved through `oracle_table` and applied via the
     strided kernel, incrementing `counter.quantum_queries` once each.
-    The seed is threaded for interface uniformity; a unitary-only circuit
-    is deterministic. The state lives in two buffers that the gates write
-    into by turns, and only the returned state is checked for finiteness.
+    The state lives in two buffers that the gates write into by turns,
+    and only the returned state is checked for finiteness.
     """
     if initial is None:
         state = new_zero_state(circuit.n_qubits)

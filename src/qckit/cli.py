@@ -19,7 +19,7 @@ from qckit import algorithms, compiler, qtm
 from qckit.circuit import parse_circuit, serialize_circuit, simulate
 from qckit.errors import QckitError
 from qckit.oracle import QueryCounter, load_oracle
-from qckit.state import new_zero_state
+from qckit.state import _born_samples, new_zero_state
 
 
 def _human(args, message: str) -> None:
@@ -54,12 +54,10 @@ def cmd_run(args, started: float) -> int:
     counter = QueryCounter()
     final = simulate(circuit, oracle_table=oracle_table, counter=counter)
     final.check_normalized()
-    probs = final.probabilities()
-    probs = probs / probs.sum()
     counts: dict[str, int] = {}
     if args.shots > 0:
         rng = np.random.default_rng(args.seed)
-        samples = rng.choice(len(probs), size=args.shots, p=probs)
+        samples = _born_samples(final.probabilities(), rng, args.shots)
         for index in samples:
             key = format(int(index), f"0{circuit.n_qubits}b")
             counts[key] = counts.get(key, 0) + 1

@@ -4,8 +4,11 @@ quantum circuit and verify the equivalence.
 Route: factor the (power-of-two padded) step unitary into two-level
 unitaries by Givens-style column elimination, then realize each factor as
 Gray-code routing (multi-controlled X transpositions) around one
-multi-controlled single-qubit core gate. Multi-controlled single-qubit
-gates are terminal primitives; no further decomposition is attempted.
+multi-controlled single-qubit core gate. Each of these gates fires on a
+pattern of 0 and 1 controls; the gates are emitted with controls on 1
+inside one running X frame over the whole circuit, so an X is emitted
+only where the pattern changes. Multi-controlled single-qubit gates are
+terminal primitives; no further decomposition is attempted.
 """
 
 from __future__ import annotations
@@ -129,90 +132,75 @@ def reconstruct(factors: list[TwoLevelFactor], dim: int) -> np.ndarray:
     return m
 
 
-def _pattern_gate(
-    name_or_core, controls: list[int], values: list[int], target: int
+def _pattern_ops(
+    factor: TwoLevelFactor, n: int
+) -> list[tuple[list[int], int, np.ndarray | None]]:
+    """The factor as gates `(bits, target, core)`, each acting on `target`
+    where every other qubit q holds bits[q]; core None is an X.
+
+    Gray-code routing: X transpositions walk basis state i to a neighbour
+    of j, one 2x2 core acts across the last differing bit (the pivot),
+    then the walk is undone.
+    """
+    if 2 ** n != factor.dim:
+        raise DimensionError(f"factor dim {factor.dim} is not 2**{n}")
+    bits = [(factor.i >> (n - 1 - q)) & 1 for q in range(n)]
+    diff = [q for q in range(n) if (factor.i ^ factor.j) >> (n - 1 - q) & 1]
+    walk = []
+    for q in diff[:-1]:
+        walk.append((bits.copy(), q, None))
+        bits[q] ^= 1
+    pivot = diff[-1]
+    # the walked index takes the role of i; on the |1> side of the pivot
+    # the core's rows and columns swap
+    core = factor.block[::-1, ::-1] if bits[pivot] else factor.block
+    return walk + [(bits, pivot, core)] + walk[::-1]
+
+
+def _lower(
+    ops: list[tuple[list[int], int, np.ndarray | None]], n: int
 ) -> list[GateApp]:
-    """Controlled gate with an arbitrary 0/1 control pattern, realized by
-    conjugating positive controls with X on the zero-valued ones."""
-    pre = [
-        GateApp(NAMED, (q,), name="x")
-        for q, v in zip(controls, values)
-        if v == 0
-    ]
-    targets = tuple(controls) + (target,)
-    if isinstance(name_or_core, str):
-        if not controls:
-            core = GateApp(NAMED, (target,), name="x")
-        elif len(controls) == 1:
-            core = GateApp(NAMED, targets, name="cx")
+    """Gates with controls on 1 for pattern ops, in one running X frame:
+    an `x` is emitted only where the flips a gate needs differ from the
+    frame's. A core's target is unflipped before it (an X core commutes
+    with the flip), and the frame is undone at the end."""
+    frame = [0] * n
+    gates: list[GateApp] = []
+
+    def flip_to(want):
+        for q in range(n):
+            if frame[q] != want[q]:
+                gates.append(GateApp(NAMED, (q,), name="x"))
+                frame[q] = want[q]
+
+    for bits, target, core in ops:
+        want = [1 - b for b in bits]
+        want[target] = frame[target] if core is None else 0
+        flip_to(want)
+        targets = tuple(q for q in range(n) if q != target) + (target,)
+        if core is None:
+            name = "cx" if n == 2 else "mcx"
+            gates.append(GateApp(NAMED, targets, name=name))
         else:
-            core = GateApp(NAMED, targets, name="mcx")
-    else:
-        core = GateApp(
-            UNITARY, targets, matrix=name_or_core, n_controls=len(controls)
-        )
-    return pre + [core] + list(reversed(pre))
-
-
-def _bits(index: int, n: int) -> list[int]:
-    return [(index >> (n - 1 - q)) & 1 for q in range(n)]
+            gates.append(GateApp(UNITARY, targets, matrix=core,
+                                 n_controls=n - 1))
+    flip_to([0] * n)
+    return gates
 
 
 def two_level_to_gates(factor: TwoLevelFactor, n_qubits: int) -> list[GateApp]:
-    """Realize one two-level factor as gates on n_qubits qubits.
-
-    Gray-code routing: transpositions (full-pattern multi-controlled X)
-    walk basis state i to a neighbor of j, one multi-controlled
-    single-qubit core gate acts across the final differing bit, then the
-    routing is undone.
-    """
-    if 2 ** n_qubits != factor.dim:
-        raise DimensionError(
-            f"factor dim {factor.dim} is not 2**{n_qubits}"
-        )
-    n = n_qubits
-    i_bits, j_bits = _bits(factor.i, n), _bits(factor.j, n)
-    diff = [q for q in range(n) if i_bits[q] != j_bits[q]]
-
-    # walk i toward j through all but the last differing bit
-    path = [factor.i]
-    cur = factor.i
-    for q in diff[:-1]:
-        cur ^= 1 << (n - 1 - q)
-        path.append(cur)
-    pivot = diff[-1]
-    a = path[-1]  # occupies the role of index i, adjacent to j
-
-    routing: list[GateApp] = []
-    for prev, nxt in zip(path, path[1:]):
-        flipped = next(
-            q for q in range(n) if _bits(prev, n)[q] != _bits(nxt, n)[q]
-        )
-        controls = [q for q in range(n) if q != flipped]
-        values = [_bits(prev, n)[q] for q in controls]
-        routing += _pattern_gate("x", controls, values, flipped)
-
-    a_bits = _bits(a, n)
-    core = factor.block
-    if a_bits[pivot] == 1:
-        # role of i sits on the |1> side of the pivot qubit
-        core = core[::-1, ::-1]
-    controls = [q for q in range(n) if q != pivot]
-    values = [a_bits[q] for q in controls]
-    core_gates = _pattern_gate(np.asarray(core), controls, values, pivot)
-
-    return routing + core_gates + list(reversed(routing))
+    """Realize one two-level factor as gates on n_qubits qubits."""
+    return _lower(_pattern_ops(factor, n_qubits), n_qubits)
 
 
 def factor_list_to_circuit(
     factors: list[TwoLevelFactor], n_qubits: int, name: str = ""
 ) -> Circuit:
     """Circuit applying the ordered factor product: the state sees the
-    last factor first, so the gate stream reverses the list."""
-    ops: list[GateApp] = []
-    for f in reversed(factors):
-        ops += two_level_to_gates(f, n_qubits)
-    return Circuit(n_qubits, ops, name=name)
+    last factor first, so the gate stream reverses the list. One X frame
+    runs across all factors."""
+    ops = [op for f in reversed(factors) for op in _pattern_ops(f, n_qubits)]
+    return Circuit(n_qubits, _lower(ops, n_qubits), name=name)
 
 
 def compile_unitary(

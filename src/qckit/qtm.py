@@ -230,7 +230,8 @@ def check_well_formed(
     The Gram matrix is computed from the step operator's nonzeros, without
     a dense matrix.
     """
-    violations = _violations(_step_entries(qtm, tape_cells), tol)
+    step = _step_entries(qtm, tape_cells)
+    violations = _messages(step.space, *_gram_violations(step, tol))
     return not violations, violations
 
 
@@ -238,11 +239,12 @@ def _well_formed_step(qtm: QTMDef, tape_cells: int) -> _Step:
     """The step operator's entries, or WellFormednessError if it is not
     unitary."""
     step = _step_entries(qtm, tape_cells)
-    violations = _violations(step, 1e-9)
-    if violations:
+    i, j, gram = _gram_violations(step, 1e-9)
+    if i.size:
+        # only the first three are shown, so only they are formatted
         raise WellFormednessError(
             "machine is not well-formed on this window: "
-            + "; ".join(violations[:3])
+            + "; ".join(_messages(step.space, i[:3], j[:3], gram[:3]))
         )
     return step
 
@@ -277,10 +279,11 @@ def _gram_violations(
     return i, j, np.concatenate([norms[diagonal], inner[off]])[order]
 
 
-def _violations(step: _Step, tol: float) -> list[str]:
-    """The Gram entries of _gram_violations, as messages."""
-    i, j, gram = _gram_violations(step, tol)
-    labels = step.space.labels(np.concatenate([i, j]))
+def _messages(
+    space: ConfigSpace, i: np.ndarray, j: np.ndarray, gram: np.ndarray
+) -> list[str]:
+    """Gram entries (i, j, G[i, j]) from _gram_violations, as messages."""
+    labels = space.labels(np.concatenate([i, j]))
     violations = []
     for a, b, g, label_a, label_b in zip(i, j, gram, labels, labels[i.size:]):
         if a == b:

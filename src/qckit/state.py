@@ -287,12 +287,24 @@ def measure_all(state: StateVector, rng_seed: int) -> MeasurementRecord:
     """
     state.check_normalized()
     rng = np.random.default_rng(rng_seed)
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    index = int(rng.choice(len(probs), p=probs))
+    weights = state.probabilities()
+    index = int(_born_samples(weights, rng))
     outcome = format(index, f"0{state.n_qubits}b")
     collapsed = basis_state(state.n_qubits, index)
-    return MeasurementRecord(outcome, float(probs[index]), collapsed)
+    return MeasurementRecord(
+        outcome, float(weights[index] / weights.sum()), collapsed)
+
+
+def _born_samples(
+    weights: np.ndarray, rng: np.random.Generator, size: int | None = None
+):
+    """Indices drawn with probability proportional to `weights`, the same
+    draws as `rng.choice(len(weights), size, p=weights / weights.sum())`:
+    its own algorithm, without its pass that validates p."""
+    cdf = weights / weights.sum()
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 def _probability_of_one(state: StateVector, qubit: int) -> float:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qckit.circuit import circuit_unitary, simulate
+from qckit.circuit import Circuit, circuit_unitary, simulate
 from qckit.compiler import (
     CompilationReport,
     TwoLevelFactor,
@@ -104,6 +105,61 @@ class TestTwoLevelToGates:
         factor = TwoLevelFactor(4, 0, 1, np.eye(2))
         with pytest.raises(DimensionError):
             two_level_to_gates(factor, 3)
+
+
+@st.composite
+def factor_lists(draw):
+    """(factors, n): up to 6 random two-level factors on n = 1-5 qubits."""
+    n = draw(st.integers(1, 5))
+    angles = st.floats(-np.pi, np.pi, allow_nan=False)
+    factors = []
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = sorted(draw(st.lists(st.integers(0, 2 ** n - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        theta, a, b, c = (draw(angles) for _ in range(4))
+        block = np.exp(1j * a) * np.array(
+            [[np.exp(1j * b) * np.cos(theta), np.exp(1j * c) * np.sin(theta)],
+             [-np.exp(-1j * c) * np.sin(theta), np.exp(-1j * b) * np.cos(theta)]])
+        factors.append(TwoLevelFactor(2 ** n, i, j, block))
+    return factors, n
+
+
+def assert_no_adjacent_x_pair(ops):
+    for a, b in zip(ops, ops[1:]):
+        assert not (a.name == b.name == "x" and a.targets == b.targets), a
+
+
+class TestLowering:
+    @given(factor_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_factor_list_matches_reconstruct(self, case):
+        factors, n = case
+        circuit = factor_list_to_circuit(factors, n)
+        assert np.max(np.abs(circuit_unitary(circuit)
+                             - reconstruct(factors, 2 ** n))) < 1e-10
+        assert_no_adjacent_x_pair(circuit.ops)
+
+    def test_all_pairs_dim16(self, rng):
+        for i in range(16):
+            for j in range(i + 1, 16):
+                factor = TwoLevelFactor(16, i, j, random_unitary(2, rng))
+                gates = two_level_to_gates(factor, 4)
+                assert_no_adjacent_x_pair(gates)
+                assert np.max(np.abs(circuit_unitary(Circuit(4, gates))
+                                     - factor.embed())) < 1e-10
+
+    # the compiler's quality figure: a rise in any count is a regression
+    @pytest.mark.parametrize("machine,cells,counts", [
+        (coin_machine(), 2, {"x": 12, "mcx": 4, "unitary": 8}),
+        (coin_machine(), 3, {"x": 62, "mcx": 40, "unitary": 28}),
+        (coin_machine(), 4, {"x": 170, "mcx": 96, "unitary": 80}),
+        (move_right_machine(), 2, {"x": 6, "unitary": 4}),
+        (move_right_machine(), 3, {"x": 30, "mcx": 16, "unitary": 16}),
+    ])
+    def test_gate_counts(self, machine, cells, counts):
+        circuit, report = compile_qtm_step(machine, cells)
+        assert report.gate_counts == counts
+        assert_no_adjacent_x_pair(circuit.ops)
 
 
 class TestCompileUnitary:

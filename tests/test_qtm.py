@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from qckit.compiler import compile_qtm_step
 from qckit.errors import (
     CapacityError,
     DimensionError,
@@ -37,6 +38,7 @@ from conftest import (
     partial_machine,
     random_unitary,
 )
+from test_output_contract import FILES
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -154,6 +156,17 @@ class TestRunQTM:
     def test_not_well_formed_rejected(self):
         with pytest.raises(WellFormednessError):
             run_qtm(doubled_branch_machine(), "0", 1, 2)
+
+    @pytest.mark.parametrize("machine,cells", [
+        (doubled_branch_machine(), 8), (parse_qtm(FILES["mixed.qtm"]), 4)])
+    def test_error_shows_first_three_violations(self, machine, cells):
+        want = ("machine is not well-formed on this window: "
+                + "; ".join(check_well_formed(machine, cells)[1][:3]))
+        for run in (lambda: run_qtm(machine, "", 1, cells),
+                    lambda: compile_qtm_step(machine, cells)):
+            with pytest.raises(WellFormednessError) as err:
+                run()
+            assert str(err.value) == want
 
     @pytest.mark.parametrize(
         "machine", [move_right_machine(), coin_machine()]

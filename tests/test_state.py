@@ -11,6 +11,7 @@ from qckit.errors import CapacityError, DimensionError, StateError
 from qckit.gates import standard_gate_matrix
 from qckit.state import (
     StateVector,
+    _born_samples,
     apply_unitary,
     basis_state,
     measure_all,
@@ -282,6 +283,23 @@ class TestMeasureAll:
                 counts[int(measure_all(s, seed * 7 + trial).outcome, 2)] += 1
             _, pvalue = scipy_stats.chisquare(counts, probs * 10000)
             assert pvalue > 0.001
+
+
+class TestBornSamples:
+    @given(
+        st.lists(st.floats(0, 1e6, allow_subnormal=False), min_size=1,
+                 max_size=64).filter(lambda w: sum(w) > 0),
+        st.integers(0, 2 ** 32 - 1),
+        st.integers(1, 300),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_same_draws_as_choice(self, weights, seed, shots):
+        weights = np.array(weights)
+        p = weights / weights.sum()
+        for size in (None, shots):
+            want = np.random.default_rng(seed).choice(len(p), size, p=p)
+            got = _born_samples(weights, np.random.default_rng(seed), size)
+            assert np.array_equal(got, want)
 
 
 class TestMeasureQubit:
