@@ -14,7 +14,7 @@ import numpy as np
 from qckit.circuit import NAMED, UNITARY, Circuit, GateApp, ORACLE, simulate
 from qckit.errors import CapacityError, DimensionError
 from qckit.oracle import Oracle, QueryCounter
-from qckit.state import _born_samples, _probability_of_one, new_zero_state
+from qckit.state import _born_samples, _probability_of_one, basis_state
 
 MAX_QFT_QUBITS = 12
 MAX_SHOR_N = 32
@@ -139,9 +139,7 @@ def order_finding(
     work = list(range(t, total))
 
     # work register starts in |1>; precision register in uniform superposition
-    init = new_zero_state(total)
-    init.amps[0] = 0.0
-    init.amps[1] = 1.0  # basis index 1 = work register value 1
+    init = basis_state(total, 1)  # basis index 1 = work register value 1
 
     ops: list[GateApp] = [GateApp(NAMED, (q,), name="h") for q in range(t)]
     for i in range(t):

@@ -19,7 +19,7 @@ from qckit import algorithms, compiler, qtm
 from qckit.circuit import parse_circuit, serialize_circuit, simulate
 from qckit.errors import QckitError
 from qckit.oracle import QueryCounter, load_oracle
-from qckit.state import _born_samples, new_zero_state
+from qckit.state import _born_probabilities, _cdf_draws, basis_state
 
 
 def _human(args, message: str) -> None:
@@ -53,11 +53,11 @@ def cmd_run(args, started: float) -> int:
     oracle_table = _parse_oracle_bindings(args.oracle)
     counter = QueryCounter()
     final = simulate(circuit, oracle_table=oracle_table, counter=counter)
-    final.check_normalized()
+    probabilities = _born_probabilities(final)
     counts: dict[str, int] = {}
     if args.shots > 0:
         rng = np.random.default_rng(args.seed)
-        samples = _born_samples(final.probabilities(), rng, args.shots)
+        samples = _cdf_draws(probabilities, rng, args.shots)
         for index in samples:
             key = format(int(index), f"0{circuit.n_qubits}b")
             counts[key] = counts.get(key, 0) + 1
@@ -164,10 +164,7 @@ def cmd_qft(args, started: float) -> int:
         raise QckitError(
             f"basis index {args.basis_index} out of range for n={args.n}"
         )
-    initial = new_zero_state(args.n)
-    initial.amps[0] = 0.0
-    initial.amps[args.basis_index] = 1.0
-    final = simulate(circuit, initial)
+    final = simulate(circuit, basis_state(args.n, args.basis_index))
     amps = [[float(a.real), float(a.imag)] for a in final.amps]
     _human(args, f"qft({args.n}) on basis {args.basis_index}")
     _emit(

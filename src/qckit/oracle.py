@@ -1,18 +1,23 @@
 """Black-box oracle model: Boolean indicator functions held as truth tables,
 the XOR oracle gate |x,b> -> |x, b XOR I(x)>, query counting, and an
 exhaustive classical baseline for the constant-vs-balanced promise problem.
+
+The oracle gate is always moved, never multiplied: `_xor_permute` copies
+amplitudes by a gather index or a mask, block by cache-sized block, so its
+bits do not depend on the BLAS build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from qckit.errors import CapacityError, DimensionError, ParseError
-from qckit.state import StateVector, _out_buffer, _unchecked
+from qckit.state import _CHUNK, StateVector, _out_buffer, _unchecked
 
 MAX_ORACLE_INPUTS = 20
 MAX_EXPLICIT_QUBITS = 12  # cap for materializing the gate matrix
@@ -93,17 +98,49 @@ def oracle_gate(oracle: Oracle) -> np.ndarray:
 
 def _xor_permute(table: bytes, src: np.ndarray, dst: np.ndarray,
                  x_axes: list[int], b_axis: int) -> None:
-    """dst[..x.., b] = src[..x.., b XOR table[x]] for two arrays of one
-    shape, x's bits (most significant first) on x_axes, b on b_axis."""
-    # The table as a mask over the x axes, in axis order, broadcast over
-    # the others; where it is 1, take the entry of the other b value.
-    mask = np.frombuffer(table, bool).reshape([2] * len(x_axes))
-    mask = np.expand_dims(mask.transpose(np.argsort(x_axes)),
-                          [a for a in range(src.ndim) if a not in x_axes])
-    flipped = [slice(None)] * src.ndim
-    flipped[b_axis] = slice(None, None, -1)
-    np.copyto(dst, src)
-    np.copyto(dst, src[tuple(flipped)], where=mask)
+    """dst[..x.., b] = src[..x.., b XOR table[x]] for two C-contiguous
+    arrays of one shape, x's bits (most significant first) on x_axes, b on
+    b_axis.
+
+    The arrays are cut into rows of their trailing axes, about _CHUNK
+    amplitudes each, so every pass over a row stays in cache. The x bits on
+    the leading axes select a part of the table, and the rows that share it
+    share one gather index (b inside a row) or one 1-D mask of where to
+    take the row of the other b value (b outside).
+    """
+    shape = src.shape
+    split = len(shape) - 1
+    while split and math.prod(shape[split - 1:]) <= _CHUNK:
+        split -= 1
+    # x's value as a part per row plus a part per position in a row
+    high = np.zeros(shape[:split], np.intp)
+    low = np.zeros(shape[split:], np.intp)
+    for i, axis in enumerate(x_axes):
+        part = high if axis < split else low
+        bit = [1] * part.ndim
+        bit[axis if axis < split else axis - split] = 2
+        part += np.arange(2).reshape(bit) << (len(x_axes) - 1 - i)
+    src, dst = src.reshape(high.size, -1), dst.reshape(high.size, -1)
+    low = low.reshape(-1)
+    # the index of the same place with the other b value, in a row or of a row
+    width = math.prod(shape[b_axis + 1:split] if b_axis < split
+                      else shape[b_axis + 1:])
+    other = np.arange(high.size if b_axis < split else low.size)
+    other += np.where(other // width % 2, -width, width)
+    table = np.frombuffer(table, np.uint8)
+    rows = high.reshape(-1)
+    order = np.argsort(rows, kind="stable")
+    values, starts = np.unique(rows[order], return_index=True)
+    for value, group in zip(values.tolist(), np.split(order, starts[1:])):
+        flip = table[value + low].view(bool)
+        if b_axis < split:
+            for row in group.tolist():
+                np.copyto(dst[row], src[row])
+                np.copyto(dst[row], src[other[row]], where=flip)
+        else:
+            index = np.where(flip, other, np.arange(low.size))
+            for row in group.tolist():
+                np.take(src[row], index, out=dst[row], mode="wrap")
 
 
 def apply_oracle(

@@ -6,20 +6,30 @@ its controls, and writes the new amplitudes into `out`: a new array when
 None, else a contiguous complex128 buffer that may not share memory with
 the state. The input state is never modified.
 
+A core with one nonzero per row and column, each 1, -1, i or -i (the cores
+of x, y, z, s, swap, cx, ccx and mcx, and permutation `unitary` cores), is
+moved, not multiplied, when its last target leaves runs of at least
+_RUN_MIN contiguous amplitudes: each output block is one copy, or one
+multiply by -1, i or -i, of a source block, and a permutation of adjacent
+targets is one `take` along their merged axis. Other cores are multiplied.
 A 1-target core is one BLAS matrix product on a reshape view of the state.
 With R = 2**(n-1-t) amplitudes between the two halves of each pair, it is
 u @ (2, R) blocks when R > 32; on the last qubits (R <= 32) it is rows of
 width 2R times kron(u, I_R).T, and rows of 4 times kron(I_2, u).T for the
-last qubit, because u @ (2, R) makes one BLAS call per 2R amplitudes. A
-controlled gate computes a region that holds the slice where every control
-is 1 and copies the rest from the state. Multi-target cores, and slices of
-fewer than 3 free qubits, use a tensordot over the target axes. Every form
-gives the same bits as that tensordot, which the tests check.
+last qubit, because u @ (2, R) makes one BLAS call per 2R amplitudes.
+Multi-target cores use a tensordot over the target axes, and so does every
+slice of fewer than 4 columns beside the targets. A controlled gate
+computes a region that holds the slice where every control is 1 and copies
+the rest from the state. Every form gives the same bits as that tensordot,
+which the tests check. For a moved core its products are exact and, on 4
+or more columns, accumulate from +0, so a move writes every zero as +0, and
+its bits do not depend on the BLAS build.
 
 Finiteness is checked where amplitudes enter: the StateVector constructor
-rejects non-finite amplitudes, kernel results skip that scan, `simulate`
-checks the state it returns once, and `check_normalized` (run before
-every measurement) rejects a NaN or infinite norm.
+rejects non-finite amplitudes, kernel results and the basis states this
+module writes skip that scan, `simulate` checks the state it returns once,
+and the norm check run before every measurement rejects a NaN or infinite
+norm.
 
 Convention: qubit 0 is the most significant bit of the basis-state index.
 For a 2-qubit state the amplitude order is |00>, |01>, |10>, |11> where the
@@ -29,6 +39,7 @@ left bit is qubit 0.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,8 +53,10 @@ NORM_TOL = 1e-9       # algebraic identities
 GATE_NORM_TOL = 1e-6  # precondition gating (accumulated float error)
 
 _KRON_MAX_R = 32    # widest pair stride computed as a kron(u, I_R) product
-_RUN_MIN = 64       # contiguous rows/columns a restricting control leaves
+_RUN_MIN = 64       # contiguous amplitudes a move or a restricting control
+                    # leaves; strided copies of shorter runs lose to a GEMM
 _PIECE_QUBITS = 18  # tensordot piece size on wide states
+_CHUNK = 2 ** 14    # amplitudes per in-cache block of a two-pass update
 
 
 @dataclass
@@ -64,19 +77,23 @@ class StateVector:
             raise StateError("amplitudes must be finite")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        """L2 norm, from one contiguous pass."""
+        return float(np.sqrt(np.vdot(self.amps, self.amps).real))
 
     def check_normalized(self) -> None:
         """Raise StateError unless the norm is 1 within GATE_NORM_TOL."""
-        norm = self.norm()
-        if not abs(norm - 1.0) <= GATE_NORM_TOL:  # also catches NaN
-            raise StateError(f"state norm {norm} deviates from 1 by > 1e-6")
+        _check_norm(self.norm())
 
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.amps.copy())
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
+
+
+def _check_norm(norm: float) -> None:
+    if not abs(norm - 1.0) <= GATE_NORM_TOL:  # also catches NaN
+        raise StateError(f"state norm {norm} deviates from 1 by > 1e-6")
 
 
 @dataclass
@@ -90,13 +107,7 @@ class MeasurementRecord:
 
 def new_zero_state(n_qubits: int) -> StateVector:
     """All-zeros basis state |0...0> on n_qubits qubits."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise CapacityError(
-            f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}"
-        )
-    amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
+    return basis_state(n_qubits, 0)
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
@@ -109,7 +120,7 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
         raise DimensionError(f"basis index {index} out of range")
     amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
     amps[index] = 1.0
-    return StateVector(n_qubits, amps)
+    return _unchecked(n_qubits, amps)
 
 
 def _check_targets(n_qubits: int, targets: Sequence[int]):
@@ -140,9 +151,10 @@ def _out_buffer(state: StateVector, out: np.ndarray | None) -> np.ndarray:
 
 
 def _unchecked(n_qubits: int, amps: np.ndarray) -> StateVector:
-    """A StateVector around a kernel's output, without the finiteness scan
-    of the constructor: a unitary maps finite amplitudes to finite ones,
-    and `simulate` checks the state it returns once."""
+    """A StateVector around amplitudes known to be finite, without the
+    finiteness scan of the constructor: a basis state's, or a kernel's
+    output (a unitary maps finite amplitudes to finite ones, and `simulate`
+    checks the state it returns once)."""
     state = object.__new__(StateVector)
     state.n_qubits, state.amps = n_qubits, amps
     return state
@@ -157,6 +169,102 @@ def _split(n: int, qubits: Sequence[int]) -> list[int]:
         shape += [2 ** (q - prev), 2]
         prev = q + 1
     return shape + [2 ** (n - prev)]
+
+
+_UNITS = {1, -1, 1j, -1j}
+
+
+def _signed_permutation(u: np.ndarray) -> list[tuple[int, complex]] | None:
+    """(source index, factor) for each output index of a core with one
+    nonzero per row and column, each 1, -1, i or -i; None for any other
+    core. A 2x2 core costs a few comparisons, a larger one usually stops
+    at its first row."""
+    rows = u.tolist()
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        if b == c == 0 and a in _UNITS and d in _UNITS:
+            return [(0, a), (1, d)]
+        if a == d == 0 and b in _UNITS and c in _UNITS:
+            return [(1, b), (0, c)]
+        return None
+    moves = []
+    for row in rows:
+        entries = [(j, v) for j, v in enumerate(row) if v]
+        if len(entries) != 1 or entries[0][1] not in _UNITS:
+            return None
+        moves += entries
+    return moves if len({j for j, _ in moves}) == len(moves) else None
+
+
+def _signed_copy(src, dst, factor) -> None:
+    """dst = factor * src for a factor of 1, -1, i or -i, with every zero
+    written as +0, as a sum of products accumulated from +0 writes it."""
+    if factor == 1:
+        np.add(src, 0.0, out=dst)
+    elif factor == -1:
+        np.subtract(0.0, src, out=dst)
+    else:  # a product exact but for the sign of a zero, fixed while cached
+        for piece in _pieces(src.shape):
+            np.multiply(src[piece], factor, out=dst[piece])
+            np.add(dst[piece], 0.0, out=dst[piece])
+
+
+def _pieces(shape):
+    """Index tuples that cut an array of this shape into blocks of about
+    _CHUNK elements: slices of one axis, under fixed indices of the axes
+    before it."""
+    axis = 0
+    while math.prod(shape[axis + 1:]) > _CHUNK:
+        axis += 1
+    step = max(1, _CHUNK // math.prod(shape[axis + 1:]))
+    for head in np.ndindex(*shape[:axis]):
+        for lo in range(0, shape[axis], step):
+            yield head + (slice(lo, lo + step),)
+
+
+def _move(moves, src, dst, n, targets, controls) -> None:
+    """Write the signed permutation `moves` of the target axes into dst, on
+    a region that holds the slice where every control is 1. A permutation
+    of adjacent targets is one `take` along their merged axis, computed
+    over the controls. Otherwise a control restricts the region when it
+    leaves runs of at least _RUN_MIN amplitudes, and each output block is
+    one `_signed_copy` of a source block, or the whole region is one when
+    the move flips a fixed set of target bits under one factor."""
+    k, first = len(targets), min(targets)
+    if k > 1 and max(targets) - first == k - 1 and all(
+            f == 1 for _, f in moves):
+        # core index of each merged-axis index, whose bits are in qubit order
+        core = np.arange(2 ** k).reshape([2] * k).transpose(
+            np.argsort(targets)).reshape(-1)
+        source = np.argsort(core)[[moves[i][0] for i in core]]
+        shape = (2 ** first, 2 ** k, -1)
+        merged = dst.reshape(shape)
+        np.take(src.reshape(shape), source, axis=1, out=merged, mode="wrap")
+        np.add(merged, 0.0, out=merged)
+        return
+    last = max(targets)
+    fixed = [c for c in controls if c < last or 2 ** (n - 1 - c) >= _RUN_MIN]
+    marks = sorted(targets + fixed)
+    shape = _split(n, marks)
+    src, dst = src.reshape(shape), dst.reshape(shape)
+    into = [slice(None)] * len(shape)
+    for c in fixed:
+        into[2 * marks.index(c) + 1] = 1
+    source = list(into)
+    axes = [2 * marks.index(t) + 1 for t in targets]
+    flip, factor = moves[0]
+    if all(m == (i ^ flip, factor) for i, m in enumerate(moves)):
+        # x, cx, ccx, mcx: one copy of the region, reversed along the
+        # target axes whose bit the permutation flips
+        for pos, ax in enumerate(axes):
+            source[ax] = slice(None, None, 1 - 2 * (flip >> (k - 1 - pos) & 1))
+        _signed_copy(src[tuple(source)], dst[tuple(into)], factor)
+        return
+    for i, (j, factor) in enumerate(moves):
+        for pos, ax in enumerate(axes):
+            into[ax] = i >> (k - 1 - pos) & 1
+            source[ax] = j >> (k - 1 - pos) & 1
+        _signed_copy(src[tuple(source)], dst[tuple(into)], factor)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,9 +377,15 @@ def apply_unitary(
         raise StateError("unitary entries must be finite")
     out = _out_buffer(state, out)
     controls = sorted(controls)
-    # a product over fewer than 3 free qubits rounds differently from
-    # the tensordot, so those tiny slices keep the tensordot
-    if k == 1 and n - len(controls) >= 3:
+    # the tensordot rounds a slice of 2 columns beside the targets
+    # differently, the signs of its zeros included, so slices of fewer
+    # than 4 columns keep the tensordot
+    wide = n - len(controls) - k >= 2
+    moves = (_signed_permutation(u)
+             if wide and 2 ** (n - 1 - max(targets)) >= _RUN_MIN else None)
+    if moves is not None:
+        _move(moves, state.amps, out, n, targets, controls)
+    elif k == 1 and wide:
         _gemm_one_target(u, state.amps, out, n, targets[0], controls)
     else:
         _contract(u, state.amps, out, n, targets, controls)
@@ -295,16 +409,43 @@ def measure_all(state: StateVector, rng_seed: int) -> MeasurementRecord:
         outcome, float(weights[index] / weights.sum()), collapsed)
 
 
+def _born_probabilities(state: StateVector) -> np.ndarray:
+    """|amp|^2 divided by its sum, after checking from that sum that the
+    norm is 1 within GATE_NORM_TOL (a non-finite amplitude makes the sum
+    non-finite). The result is written over the first half of the state's
+    own buffer, which the call consumes, so it allocates no new array."""
+    amps = state.amps
+    weights = amps.view(np.float64)[:len(amps)]
+    # floats [lo, lo + _CHUNK) held amplitudes lo/2 to (lo + _CHUNK)/2,
+    # which earlier chunks have read, except in the first chunk
+    for lo in range(0, len(amps), _CHUNK):
+        chunk = weights[lo:lo + _CHUNK]
+        if lo:
+            np.abs(amps[lo:lo + _CHUNK], out=chunk)
+        else:
+            chunk[:] = np.abs(amps[:_CHUNK])
+        np.square(chunk, out=chunk)
+    total = weights.sum()
+    _check_norm(float(np.sqrt(total)))
+    return np.divide(weights, total, out=weights)
+
+
 def _born_samples(
     weights: np.ndarray, rng: np.random.Generator, size: int | None = None
 ):
     """Indices drawn with probability proportional to `weights`, the same
     draws as `rng.choice(len(weights), size, p=weights / weights.sum())`:
     its own algorithm, without its pass that validates p."""
-    cdf = weights / weights.sum()
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(size), side="right")
+    return _cdf_draws(weights / weights.sum(), rng, size)
+
+
+def _cdf_draws(p: np.ndarray, rng: np.random.Generator,
+               size: int | None = None):
+    """The draws of `_born_samples` from weights already divided by their
+    sum, `p`, which becomes their CDF in place."""
+    np.cumsum(p, out=p)
+    p /= p[-1]
+    return p.searchsorted(rng.random(size), side="right")
 
 
 def _probability_of_one(state: StateVector, qubit: int) -> float:

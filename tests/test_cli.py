@@ -1,9 +1,16 @@
+import contextlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import qckit.state
+from qckit.circuit import parse_circuit, simulate
 from qckit.cli import main
+from qckit.gates import GATE_ARITY, PARAMETRIC
+from qckit.oracle import load_oracle
+from qckit.state import _born_samples
 
 BELL = "qubits 2\nh 0\ncx 0 1\n"
 MOVE_RIGHT = """states q0 ; initial q0 ; final q0
@@ -84,6 +91,73 @@ class TestRun:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert json_out(out1) == json_out(out2)
+
+
+def _random_circuit(rng, n):
+    """Text of a random circuit on n >= 3 qubits: named gates of every
+    kind, a 1-qubit raw unitary and a query of oracle `f` on 2 inputs."""
+    lines = [f"qubits {n}"]
+    for _ in range(3 * n):
+        name = str(rng.choice(list(GATE_ARITY)))
+        arity = GATE_ARITY[name] or int(rng.integers(2, min(5, n) + 1))
+        qubits = " ".join(map(str, rng.choice(n, arity, replace=False)))
+        angle = (f" ( {float(rng.uniform(0, 2 * np.pi))!r} )"
+                 if name in PARAMETRIC else "")
+        lines.append(f"{name}{angle} {qubits}")
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    core = q * (np.diag(r) / np.abs(np.diag(r)))
+    entries = " ".join(f"{float(v.real)!r} {float(v.imag)!r}"
+                       for v in core.reshape(-1))
+    lines.insert(len(lines) // 2,
+                 f"unitary 0 {int(rng.integers(n))} : {entries}")
+    lines.insert(int(rng.integers(1, len(lines) + 1)),
+                 "oracle f " + " ".join(map(str, rng.choice(n, 3, False))))
+    return "\n".join(lines) + "\n"
+
+
+class TestRunReadout:
+    """`qckit run` squares, checks and accumulates the probabilities in
+    place in the final state's buffer; its counts must be the draws of
+    `_born_samples` on the final state's probabilities."""
+
+    @pytest.mark.parametrize("chunk", [None, 8])
+    def test_counts_match_born_samples(self, tmp_path, capsys, chunk):
+        rng = np.random.default_rng(2024)
+        oracle = tmp_path / "f.oracle"
+        oracle.write_text("inputs 2\n0110\n")
+        for trial, n in enumerate([3, 4, 5, 6, 7, 8, 17] * 3):
+            text = _random_circuit(rng, n)
+            path = tmp_path / f"c{trial}.circuit"
+            path.write_text(text)
+            shots, seed = int(rng.integers(0, 3000)), int(rng.integers(2 ** 32))
+            chunked = (mock.patch.object(qckit.state, "_CHUNK", chunk)
+                       if chunk else contextlib.nullcontext())
+            with chunked:
+                code, out, _ = run_cli(
+                    capsys, "run", str(path), "--shots", str(shots), "--seed",
+                    str(seed), "--oracle", f"f={oracle}")
+            assert code == 0
+            final = simulate(parse_circuit(text),
+                             oracle_table={"f": load_oracle(str(oracle))})
+            want: dict[str, int] = {}
+            if shots:
+                draws = _born_samples(final.probabilities(),
+                                      np.random.default_rng(seed), shots)
+                for index in draws:
+                    key = format(int(index), f"0{n}b")
+                    want[key] = want.get(key, 0) + 1
+            assert json_out(out)["counts"] == dict(sorted(want.items())), text
+
+    @pytest.mark.parametrize("n", [1, 17])
+    @pytest.mark.parametrize("shots", ["0", "10"])
+    def test_unnormalized_state_rejected(self, tmp_path, capsys, n, shots):
+        # each core is unitary within GATE_NORM_TOL; ten of them are not
+        line = "unitary 0 0 : 1.0000004 0 0 0 0 0 1.0000004 0\n"
+        path = tmp_path / "c.circuit"
+        path.write_text(f"qubits {n}\nh {n - 1}\n" + line * 10)
+        code, out, err = run_cli(capsys, "run", str(path), "--shots", shots)
+        assert_one_error(code, err)
+        assert "state norm" in err and out == ""
 
 
 class TestDJ:

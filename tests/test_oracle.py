@@ -1,8 +1,11 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import qckit.oracle
 
 from qckit.circuit import Circuit, GateApp, ORACLE, simulate
 from qckit.errors import CapacityError, DimensionError, ParseError
@@ -159,6 +162,32 @@ class TestApplyOracleExact:
         with pytest.raises(DimensionError):
             apply_oracle(StateVector(3, psi), Oracle(2, (0, 1, 1, 0)),
                          [0, 1], 2, out=psi)
+
+    @given(st.integers(2, 10), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["first", "middle", "last"]), st.booleans(),
+           st.sampled_from([1, 2, 8, 64]))
+    @settings(max_examples=120, deadline=None)
+    def test_blocked_matches_permutation(self, n, seed, b_place, leading,
+                                         chunk):
+        # chunks far smaller than the state put b and the x bits on both
+        # sides of the cut between a row and the leading axes
+        rng = np.random.default_rng(seed)
+        b_target = {"first": 0, "middle": n // 2, "last": n - 1}[b_place]
+        others = [q for q in range(n) if q != b_target]
+        n_inputs = int(rng.integers(1, n))
+        x_targets = (others[:n_inputs] if leading
+                     else sorted(rng.choice(others, n_inputs, replace=False)))
+        x_targets = [int(q) for q in rng.permutation(x_targets)]
+        table = tuple(int(b) for b in rng.integers(0, 2, 2 ** n_inputs))
+        psi = random_state(n, rng)
+        psi[rng.random(2 ** n) < 0.2] *= -0.0
+        before = psi.copy()
+        with mock.patch.object(qckit.oracle, "_CHUNK", chunk):
+            got = apply_oracle(StateVector(n, psi), Oracle(n_inputs, table),
+                               x_targets, b_target).amps
+        want = _permuted(before, n, table, x_targets, b_target)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(psi.view(np.uint64), before.view(np.uint64))
 
 
 class TestClassicalQuery:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import qckit.state
 
 from qckit.errors import CapacityError, DimensionError, StateError
-from qckit.gates import standard_gate_matrix
+from qckit.gates import GATE_ARITY, gate_core, standard_gate_matrix
 from qckit.state import (
     StateVector,
     _born_samples,
@@ -202,6 +202,113 @@ class TestKernelBitExact:
                 got = apply_unitary(StateVector(n, psi), u, [t], controls)
                 want = _tensordot_reference(psi, u, n, [t], controls)
                 assert _same_bits(got.amps, want), (t, controls)
+
+
+def _signed_permutation_core(rng, k, signed):
+    """A random 2^k x 2^k permutation matrix, its nonzeros drawn from
+    1, -1, i and -i when `signed`."""
+    dim = 2 ** k
+    core = np.zeros((dim, dim), dtype=complex)
+    factors = rng.choice([1, -1, 1j, -1j], dim) if signed else 1
+    core[np.arange(dim), rng.permutation(dim)] = factors
+    return core
+
+
+@st.composite
+def _moves(draw):
+    """(n, amps, core, targets, controls) on 4-12 qubits with a core that
+    takes the move form: a named permutation-and-sign gate, a random signed
+    permutation on 1-3 targets (adjacent ones half the time) under 0-3
+    controls, or a permutation of the last 5 qubits (fewer on narrow
+    states); at least 2 qubits are neither target nor control. Amplitudes
+    include +0 and -0."""
+    n = draw(st.integers(4, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["named", "random", "last"]))
+    qubits = [int(q) for q in rng.permutation(n)]
+    if kind == "named":
+        name = draw(st.sampled_from(
+            [g for g in ("x", "y", "z", "s", "swap", "cx", "ccx", "mcx")
+             if (GATE_ARITY[g] or 2) <= n - 2]))
+        arity = GATE_ARITY[name] or draw(st.integers(2, min(5, n - 2)))
+        core, n_controls = gate_core(name, arity=arity)
+        controls, targets = qubits[:n_controls], qubits[n_controls:arity]
+    elif kind == "random":
+        k = draw(st.integers(1, 3 if n > 4 else 2))
+        if draw(st.booleans()):  # adjacent targets, in any order
+            first = draw(st.integers(0, n - k))
+            targets = [int(q) for q in rng.permutation(range(first, first + k))]
+        else:
+            targets = qubits[:k]
+        others = [q for q in qubits if q not in targets]
+        controls = others[:draw(st.integers(0, min(3, n - k - 2)))]
+        core = _signed_permutation_core(rng, k, draw(st.booleans()))
+    else:
+        k = min(5, n - 2)
+        targets = [int(q) for q in rng.permutation(range(n - k, n))]
+        controls = [q for q in qubits if q < n - k]
+        controls = controls[:draw(st.integers(0, min(3, n - k - 2)))]
+        core = _signed_permutation_core(rng, k, False)
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    amps[rng.random(2 ** n) < 0.2] = 0.0
+    amps.real[rng.random(2 ** n) < 0.2] = 0.0
+    amps.imag[rng.random(2 ** n) < 0.2] = 0.0
+    amps[rng.random(2 ** n) < 0.3] *= -1.0  # turns some zeros into -0
+    amps /= np.linalg.norm(amps) or 1.0
+    return n, amps, core, targets, controls
+
+
+class TestMoveForm:
+    """Permutation-and-sign cores are moved, not multiplied, and give the
+    tensordot reference's bits, so their bits do not depend on the BLAS
+    build. The run threshold is lowered so that the draws take the move
+    form (all of them at 1, and with controls computed over at 4)."""
+
+    @given(_moves(), st.booleans(), st.sampled_from([1, 4]),
+           st.sampled_from([2, 64, 2 ** 14]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_tensordot(self, gate, use_out, run_min, chunk):
+        n, amps, core, targets, controls = gate
+        before = amps.copy()
+        out = np.full_like(amps, np.nan) if use_out else None
+        # small chunks cut the blocks multiplied by i or -i into pieces
+        with mock.patch.multiple(qckit.state, _RUN_MIN=run_min, _CHUNK=chunk):
+            with mock.patch.object(qckit.state, "_move",
+                                   wraps=qckit.state._move) as move:
+                got = apply_unitary(StateVector(n, amps), core, targets,
+                                    controls, out=out)
+        assert move.called == (2 ** (n - 1 - max(targets)) >= run_min)
+        want = _tensordot_reference(before, core, n, targets, controls)
+        assert _same_bits(got.amps, want)
+        assert _same_bits(amps, before)
+        if use_out:
+            assert got.amps is out
+
+    def test_narrow_slices_keep_the_tensordot(self, rng):
+        # 2 columns beside the target: the tensordot may write -0 there
+        psi = random_state(8, rng)
+        psi[rng.random(256) < 0.5] *= -0.0
+        x = standard_gate_matrix("x")
+        for controls in ([2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6]):
+            with mock.patch.object(qckit.state, "_move") as move:
+                got = apply_unitary(StateVector(8, psi), x, [0], controls)
+            assert not move.called
+            want = _tensordot_reference(psi, x, 8, [0], controls)
+            assert _same_bits(got.amps, want)
+
+    @pytest.mark.parametrize("core", [
+        np.array([[1, 0], [0, 1 + 1e-17j]]),  # not exactly 1, i, -i or -1
+        np.array([[0, 1], [1, 1e-300]]),      # a second nonzero in a row
+        np.array([[1, 0], [1, 0]]),           # a column used twice
+        standard_gate_matrix("h"),
+        standard_gate_matrix("t"),
+    ])
+    def test_other_cores_are_multiplied(self, core, rng):
+        psi = random_state(8, rng)
+        with mock.patch.object(qckit.state, "_move") as move:
+            got = apply_unitary(StateVector(8, psi), core, [0])
+        assert not move.called
+        assert _same_bits(got.amps, _tensordot_reference(psi, core, 8, [0]))
 
 
 class TestOutBuffer:
