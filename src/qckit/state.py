@@ -10,8 +10,9 @@ A core with one nonzero per row and column, each 1, -1, i or -i (the cores
 of x, y, z, s, swap, cx, ccx and mcx, and permutation `unitary` cores), is
 moved, not multiplied, when its last target leaves runs of at least
 _RUN_MIN contiguous amplitudes: each output block is one copy, or one
-multiply by -1, i or -i, of a source block, and a permutation of adjacent
-targets is one `take` along their merged axis. Other cores are multiplied.
+multiply by -1, i or -i, of a source block. A permutation whose last target
+is among the last qubits (the work register of order finding, say) is
+multiplied, and so is every other core.
 A 1-target core is one BLAS matrix product on a reshape view of the state.
 With R = 2**(n-1-t) amplitudes between the two halves of each pair, it is
 u @ (2, R) blocks when R > 32; on the last qubits (R <= 32) it is rows of
@@ -224,25 +225,10 @@ def _pieces(shape):
 
 def _move(moves, src, dst, n, targets, controls) -> None:
     """Write the signed permutation `moves` of the target axes into dst, on
-    a region that holds the slice where every control is 1. A permutation
-    of adjacent targets is one `take` along their merged axis, computed
-    over the controls. Otherwise a control restricts the region when it
-    leaves runs of at least _RUN_MIN amplitudes, and each output block is
-    one `_signed_copy` of a source block, or the whole region is one when
-    the move flips a fixed set of target bits under one factor."""
-    k, first = len(targets), min(targets)
-    if k > 1 and max(targets) - first == k - 1 and all(
-            f == 1 for _, f in moves):
-        # core index of each merged-axis index, whose bits are in qubit order
-        core = np.arange(2 ** k).reshape([2] * k).transpose(
-            np.argsort(targets)).reshape(-1)
-        source = np.argsort(core)[[moves[i][0] for i in core]]
-        shape = (2 ** first, 2 ** k, -1)
-        merged = dst.reshape(shape)
-        np.take(src.reshape(shape), source, axis=1, out=merged, mode="wrap")
-        np.add(merged, 0.0, out=merged)
-        return
-    last = max(targets)
+    a region that holds the slice where every control is 1: each output
+    block is one `_signed_copy` of a source block. A control restricts the
+    region when it leaves runs of at least _RUN_MIN amplitudes."""
+    k, last = len(targets), max(targets)
     fixed = [c for c in controls if c < last or 2 ** (n - 1 - c) >= _RUN_MIN]
     marks = sorted(targets + fixed)
     shape = _split(n, marks)
@@ -252,14 +238,6 @@ def _move(moves, src, dst, n, targets, controls) -> None:
         into[2 * marks.index(c) + 1] = 1
     source = list(into)
     axes = [2 * marks.index(t) + 1 for t in targets]
-    flip, factor = moves[0]
-    if all(m == (i ^ flip, factor) for i, m in enumerate(moves)):
-        # x, cx, ccx, mcx: one copy of the region, reversed along the
-        # target axes whose bit the permutation flips
-        for pos, ax in enumerate(axes):
-            source[ax] = slice(None, None, 1 - 2 * (flip >> (k - 1 - pos) & 1))
-        _signed_copy(src[tuple(source)], dst[tuple(into)], factor)
-        return
     for i, (j, factor) in enumerate(moves):
         for pos, ax in enumerate(axes):
             into[ax] = i >> (k - 1 - pos) & 1
