@@ -15,6 +15,9 @@ serialize losslessly.
 
 Every gate but an oracle is simulated as its core matrix on the slice of
 the state where its controls, the leading targets, are all 1.
+`state._check_targets` is the one check of a gate's qubits: `Circuit` runs
+it on each op, and `parse_circuit` first on each line, to name the line. A
+named gate is resolved to its core once, when its GateApp is built.
 `circuit_unitary` is one simulation on a doubled register holding
 sum_j |j>|j>.
 """
@@ -34,7 +37,14 @@ from qckit.errors import (
 )
 from qckit.gates import _unitarity_deviation, gate_core
 from qckit.oracle import Oracle, QueryCounter, apply_oracle
-from qckit.state import GATE_NORM_TOL, StateVector, apply_unitary, new_zero_state
+from qckit.state import (
+    GATE_NORM_TOL,
+    StateVector,
+    _check_targets,
+    _unchecked,
+    apply_unitary,
+    new_zero_state,
+)
 
 MAX_UNITARY_QUBITS = 10  # circuit_unitary cap (1M-entry matrices)
 
@@ -44,8 +54,9 @@ NAMED, ORACLE, UNITARY = "named", "oracle", "unitary"
 @dataclass
 class GateApp:
     """One gate application: a named gate, an oracle reference, or a raw
-    unitary. For the raw kind the first `n_controls` targets act as
-    controls of the core matrix on the remaining targets."""
+    unitary. For every kind but an oracle the first `n_controls` targets
+    act as controls of the core `matrix` on the remaining targets; a named
+    gate's are set from its name."""
 
     kind: str
     targets: tuple[int, ...]
@@ -61,7 +72,8 @@ class GateApp:
         if self.param is not None:
             self.param = float(self.param)
         if self.kind == NAMED:
-            gate_core(self.name, self.param, len(self.targets))
+            self.matrix, self.n_controls = gate_core(
+                self.name, self.param, len(self.targets))
         elif self.kind == ORACLE:
             if len(self.targets) < 2:
                 raise DimensionError(
@@ -102,13 +114,7 @@ class Circuit:
 
     def __post_init__(self):
         for op in self.ops:
-            for t in op.targets:
-                if not 0 <= t < self.n_qubits:
-                    raise DimensionError(
-                        f"target {t} out of range for {self.n_qubits} qubits"
-                    )
-            if len(set(op.targets)) != len(op.targets):
-                raise DimensionError(f"duplicate targets {op.targets}")
+            _check_targets(self.n_qubits, op.targets)
 
     def __eq__(self, other):
         if not isinstance(other, Circuit):
@@ -137,7 +143,7 @@ def simulate(
             f"circuit needs {circuit.n_qubits}"
         )
     else:
-        state = StateVector(initial.n_qubits, initial.amps.copy())
+        state = _unchecked(initial.n_qubits, initial.amps.copy())
     spare = np.empty_like(state.amps)
     for op in circuit.ops:
         if op.kind == ORACLE:
@@ -151,12 +157,9 @@ def simulate(
                 counter=counter, out=spare,
             )
         else:
-            if op.kind == NAMED:
-                core, nc = gate_core(op.name, op.param, len(op.targets))
-            else:
-                core, nc = op.matrix, op.n_controls
+            nc = op.n_controls
             new = apply_unitary(
-                state, core, op.targets[nc:], op.targets[:nc], out=spare
+                state, op.matrix, op.targets[nc:], op.targets[:nc], out=spare
             )
         spare, state = state.amps, new
     return StateVector(state.n_qubits, state.amps)
@@ -196,18 +199,10 @@ def _parse_int(tok: str, lineno: int) -> int:
         raise ParseError(lineno, f"bad integer {tok!r}") from None
 
 
-def _parse_targets(toks: list[str], n_qubits: int, lineno: int) -> tuple:
+def _parse_targets(toks: list[str], lineno: int) -> tuple:
     if not toks:
         raise ParseError(lineno, "gate line has no targets")
-    targets = tuple(_parse_int(t, lineno) for t in toks)
-    for t in targets:
-        if not 0 <= t < n_qubits:
-            raise ParseError(
-                lineno, f"target {t} out of range for {n_qubits} qubits"
-            )
-    if len(set(targets)) != len(targets):
-        raise ParseError(lineno, f"duplicate targets {list(targets)}")
-    return targets
+    return tuple(_parse_int(t, lineno) for t in toks)
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -234,10 +229,9 @@ def parse_circuit(text: str) -> Circuit:
                 raise ParseError(
                     lineno, "oracle line needs a name, inputs and an ancilla"
                 )
-            targets = _parse_targets(toks[2:], n_qubits, lineno)
-            ops.append(GateApp(ORACLE, targets, name=toks[1]))
-            continue
-        if head == "unitary":
+            targets = _parse_targets(toks[2:], lineno)
+            op = GateApp(ORACLE, targets, name=toks[1])
+        elif head == "unitary":
             if ":" not in toks:
                 raise ParseError(lineno, "unitary line needs ':' separator")
             sep = toks.index(":")
@@ -246,7 +240,7 @@ def parse_circuit(text: str) -> Circuit:
                     lineno, "unitary line needs controls count and targets"
                 )
             n_controls = _parse_int(toks[1], lineno)
-            targets = _parse_targets(toks[2:sep], n_qubits, lineno)
+            targets = _parse_targets(toks[2:sep], lineno)
             if not 0 <= n_controls < len(targets):
                 raise ParseError(lineno, f"bad control count {n_controls}")
             vals = [_parse_float(t, lineno) for t in toks[sep + 1:]]
@@ -259,23 +253,22 @@ def parse_circuit(text: str) -> Circuit:
             re = np.array(vals[0::2]).reshape(dim, dim)
             im = np.array(vals[1::2]).reshape(dim, dim)
             with at_line(lineno):
-                ops.append(
-                    GateApp(
-                        UNITARY, targets, matrix=re + 1j * im,
-                        n_controls=n_controls,
-                    )
-                )
-            continue
-        param = None
-        rest = toks[1:]
-        if rest and rest[0] == "(":
-            if len(rest) < 3 or rest[2] != ")":
-                raise ParseError(lineno, "malformed angle '( x )'")
-            param = _parse_float(rest[1], lineno)
-            rest = rest[3:]
-        targets = _parse_targets(rest, n_qubits, lineno)
-        with at_line(lineno):
-            ops.append(GateApp(NAMED, targets, name=head, param=param))
+                op = GateApp(UNITARY, targets, matrix=re + 1j * im,
+                             n_controls=n_controls)
+        else:
+            param = None
+            rest = toks[1:]
+            if rest and rest[0] == "(":
+                if len(rest) < 3 or rest[2] != ")":
+                    raise ParseError(lineno, "malformed angle '( x )'")
+                param = _parse_float(rest[1], lineno)
+                rest = rest[3:]
+            targets = _parse_targets(rest, lineno)
+            with at_line(lineno):
+                op = GateApp(NAMED, targets, name=head, param=param)
+        with at_line(lineno):  # after the gate's own checks
+            _check_targets(n_qubits, op.targets)
+        ops.append(op)
 
     if n_qubits is None:
         raise ParseError(1, "missing 'qubits N' header")

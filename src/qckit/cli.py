@@ -21,6 +21,8 @@ from qckit.errors import QckitError
 from qckit.oracle import QueryCounter, load_oracle
 from qckit.state import _born_probabilities, _cdf_draws, basis_state
 
+MAX_SHOTS = 2 ** 24  # the draws and their indices take 256 MiB
+
 
 def _human(args, message: str) -> None:
     """Stderr summary line, suppressed under --json."""
@@ -46,8 +48,9 @@ def _parse_oracle_bindings(pairs: list[str]) -> dict:
 
 
 def cmd_run(args, started: float) -> int:
-    if args.shots < 0:
-        raise QckitError(f"--shots must be >= 0, got {args.shots}")
+    if not 0 <= args.shots <= MAX_SHOTS:
+        raise QckitError(
+            f"--shots must be in [0, {MAX_SHOTS}], got {args.shots}")
     with open(args.circuit, encoding="utf-8") as f:
         circuit = parse_circuit(f.read())
     oracle_table = _parse_oracle_bindings(args.oracle)

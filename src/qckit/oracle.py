@@ -17,7 +17,13 @@ from itertools import combinations
 import numpy as np
 
 from qckit.errors import CapacityError, DimensionError, ParseError
-from qckit.state import _CHUNK, StateVector, _out_buffer, _unchecked
+from qckit.state import (
+    _CHUNK,
+    StateVector,
+    _check_targets,
+    _out_buffer,
+    _unchecked,
+)
 
 MAX_ORACLE_INPUTS = 20
 MAX_EXPLICIT_QUBITS = 12  # cap for materializing the gate matrix
@@ -161,12 +167,7 @@ def apply_oracle(
             f"oracle {oracle.name!r} expects {oracle.n_inputs} input qubits, "
             f"got {len(x_targets)}"
         )
-    targets = x_targets + [b_target]
-    if len(set(targets)) != len(targets):
-        raise DimensionError("oracle targets must be distinct")
-    for t in targets:
-        if not 0 <= t < state.n_qubits:
-            raise DimensionError(f"oracle target {t} out of range")
+    _check_targets(state.n_qubits, x_targets + [b_target])
     out = _out_buffer(state, out)
 
     n = state.n_qubits

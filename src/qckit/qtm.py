@@ -389,7 +389,6 @@ def parse_qtm(text: str) -> QTMDef:
         q sym -> q' sym' L|R re im
     """
     states = header = None
-    transitions: dict[tuple[str, str], list[Transition]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -418,7 +417,7 @@ def parse_qtm(text: str) -> QTMDef:
             if toks[0] != "alphabet" or len(toks) < 2:
                 raise ParseError(lineno, "expected 'alphabet <blank> ...'")
             with at_line(lineno):
-                # the machine without transitions checks each line below
+                # each transition below joins it once its line is checked
                 header = QTMDef(states, toks[1:], initial, final, {})
             continue
         toks = line.split()
@@ -434,10 +433,10 @@ def parse_qtm(text: str) -> QTMDef:
         tr = Transition(q2, sym2, direction, amp)
         with at_line(lineno):
             header.check_transition(q, sym, tr)
-        transitions.setdefault((q, sym), []).append(tr)
+        header.transitions.setdefault((q, sym), []).append(tr)
     if header is None:
         raise ParseError(1, "missing states or alphabet header")
-    return QTMDef(states, header.alphabet, initial, final, transitions)
+    return header
 
 
 def load_qtm(path: str) -> QTMDef:

@@ -15,7 +15,7 @@ is among the last qubits (the work register of order finding, say) is
 multiplied, and so is every other core.
 A 1-target core is one BLAS matrix product on a reshape view of the state.
 With R = 2**(n-1-t) amplitudes between the two halves of each pair, it is
-u @ (2, R) blocks when R > 32; on the last qubits (R <= 32) it is rows of
+u @ (2, R) blocks when R >= _RUN_MIN; on the last qubits it is rows of
 width 2R times kron(u, I_R).T, and rows of 4 times kron(I_2, u).T for the
 last qubit, because u @ (2, R) makes one BLAS call per 2R amplitudes.
 Multi-target cores use a tensordot over the target axes, and so does every
@@ -53,9 +53,9 @@ MAX_QUBITS = 24  # ~256 MiB per complex128 state
 NORM_TOL = 1e-9       # algebraic identities
 GATE_NORM_TOL = 1e-6  # precondition gating (accumulated float error)
 
-_KRON_MAX_R = 32    # widest pair stride computed as a kron(u, I_R) product
-_RUN_MIN = 64       # contiguous amplitudes a move or a restricting control
-                    # leaves; strided copies of shorter runs lose to a GEMM
+_RUN_MIN = 64       # contiguous amplitudes a move, a column GEMM or a
+                    # restricting control leaves; shorter runs lose to a
+                    # GEMM over rows
 _PIECE_QUBITS = 18  # tensordot piece size on wide states
 _CHUNK = 2 ** 14    # amplitudes per in-cache block of a two-pass update
 
@@ -125,13 +125,15 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
 
 
 def _check_targets(n_qubits: int, targets: Sequence[int]):
-    if len(set(targets)) != len(targets):
-        raise DimensionError(f"duplicate targets {list(targets)}")
+    """Raise DimensionError unless the qubits are in range and distinct:
+    the one check of gate qubits, made where a gate enters."""
     for t in targets:
         if not 0 <= t < n_qubits:
             raise DimensionError(
                 f"target {t} out of range for {n_qubits} qubits"
             )
+    if len(set(targets)) != len(targets):
+        raise DimensionError(f"duplicate targets {list(targets)}")
 
 
 def _out_buffer(state: StateVector, out: np.ndarray | None) -> np.ndarray:
@@ -228,8 +230,8 @@ def _move(moves, src, dst, n, targets, controls) -> None:
     a region that holds the slice where every control is 1: each output
     block is one `_signed_copy` of a source block. A control restricts the
     region when it leaves runs of at least _RUN_MIN amplitudes."""
-    k, last = len(targets), max(targets)
-    fixed = [c for c in controls if c < last or 2 ** (n - 1 - c) >= _RUN_MIN]
+    k = len(targets)
+    fixed = [c for c in controls if 2 ** (n - 1 - c) >= _RUN_MIN]
     marks = sorted(targets + fixed)
     shape = _split(n, marks)
     src, dst = src.reshape(shape), dst.reshape(shape)
@@ -257,7 +259,7 @@ def _gemm_one_target(u, src, dst, n, t, controls) -> None:
     views, on a region that holds the slice where every control is 1.
 
     R = 2**(n-1-t) amplitudes separate the two halves of each pair. For
-    R > _KRON_MAX_R the product is u @ (2, R) blocks. For the last qubits
+    R >= _RUN_MIN the product is u @ (2, R) blocks. For the last qubits
     it is (rows, 2R) @ kron(u, I_R).T, or (rows, 4) @ kron(I_2, u).T for
     R = 1: one BLAS call for all rows, where u @ (2, R) would make one per
     2R amplitudes. A control restricts the region when at least _RUN_MIN
@@ -265,8 +267,8 @@ def _gemm_one_target(u, src, dst, n, t, controls) -> None:
     `_copy_outside_slice` then overwrites them.
     """
     r = 2 ** (n - 1 - t)
-    if r > _KRON_MAX_R:
-        fixed = [c for c in controls if c < t or 2 ** (n - 1 - c) >= _RUN_MIN]
+    if r >= _RUN_MIN:
+        fixed = [c for c in controls if 2 ** (n - 1 - c) >= _RUN_MIN]
         marks = sorted(fixed + [t])
         index = [slice(None)] * (2 * len(marks) + 1)
         for i, q in enumerate(marks):

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qckit.circuit
 from qckit.circuit import (
     Circuit,
     GateApp,
@@ -330,3 +333,44 @@ class TestParser:
             parse_circuit(blob.decode("utf-8", errors="replace"))
         except ParseError as e:
             assert e.line >= 1
+
+
+class TestCheckedOnce:
+    """Each gate's qubits are checked by `state._check_targets` where the
+    gate enters, and a named gate is resolved when its GateApp is built."""
+
+    def test_simulate_resolves_no_gate(self):
+        c = parse_circuit("qubits 3\nh 0\ncx 0 1\nccx 0 1 2\n"
+                          "cphase ( 0.5 ) 2 0\nmcx 2 1 0\n")
+        expected = simulate(c)
+        with mock.patch("qckit.circuit.gate_core",
+                        wraps=qckit.circuit.gate_core) as resolve:
+            assert np.array_equal(simulate(c).amps, expected.amps)
+            circuit_unitary(c)
+        assert resolve.call_count == 0
+
+    def test_second_header_is_an_unknown_gate(self):
+        with pytest.raises(ParseError) as exc:
+            parse_circuit("qubits 2\nh 0\nqubits 3\n")
+        assert exc.value.line == 3
+        assert "unknown gate 'qubits'" in str(exc.value)
+
+    @pytest.mark.parametrize("targets", [(0, 2), (1, 1)])
+    def test_circuit_uses_the_shared_check(self, targets):
+        op = GateApp(NAMED, targets, name="cx")
+        with mock.patch("qckit.circuit._check_targets",
+                        wraps=qckit.circuit._check_targets) as check:
+            with pytest.raises(DimensionError):
+                Circuit(2, [op])
+        check.assert_called_once_with(2, targets)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("qubits 2\nh 0\ncx 0 2\n", 3, "target 2 out of range for 2 qubits"),
+        ("qubits 2\noracle f 1 1\n", 2, "duplicate targets [1, 1]"),
+        ("qubits 1\nunitary 0 4 : 1 0 0 0 0 0 1 0\n", 2,
+         "target 4 out of range for 1 qubits"),
+    ])
+    def test_parse_errors_keep_their_text(self, text, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_circuit(text)
+        assert (exc.value.line, exc.value.message) == (line, message)

@@ -5,9 +5,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import qckit.cli
 import qckit.state
 from qckit.circuit import parse_circuit, simulate
-from qckit.cli import main
+from qckit.cli import MAX_SHOTS, main
 from qckit.gates import GATE_ARITY, PARAMETRIC
 from qckit.oracle import load_oracle
 from qckit.state import _born_samples
@@ -378,3 +379,39 @@ class TestInputBoundary:
         code, _, err = run_cli(capsys, "qtm-check", str(path))
         assert_one_error(code, err, line=line)
         assert message in err
+
+
+class TestShotsCap:
+    @pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 10 ** 12])
+    def test_too_many_shots(self, tmp_path, capsys, shots):
+        path = tmp_path / "bell.circuit"
+        path.write_text(BELL)
+        code, out, err = run_cli(capsys, "run", str(path), f"--shots={shots}")
+        assert_one_error(code, err)
+        assert "--shots" in err and str(MAX_SHOTS) in err
+        assert out == ""
+
+
+class TestParserState:
+    def test_oracle_lists_are_not_shared(self, tmp_path, capsys):
+        circuit = tmp_path / "c.circuit"
+        circuit.write_text("qubits 2\noracle f 0 1\n")
+        for name, table in (("f", "01"), ("g", "10")):
+            (tmp_path / f"{name}.oracle").write_text(f"inputs 1\n{table}\n")
+        seen = []
+
+        def record(pairs):
+            seen.append(list(pairs))
+            return parse_bindings(pairs)
+
+        parse_bindings = qckit.cli._parse_oracle_bindings
+        with mock.patch("qckit.cli._parse_oracle_bindings", record):
+            for binding in ([f"f={tmp_path / 'f.oracle'}"],
+                            [f"f={tmp_path / 'g.oracle'}"], []):
+                argv = ["run", str(circuit), "--json"]
+                for pair in binding:
+                    argv += ["--oracle", pair]
+                main(argv)
+        capsys.readouterr()
+        assert seen == [[f"f={tmp_path / 'f.oracle'}"],
+                        [f"f={tmp_path / 'g.oracle'}"], []]

@@ -283,3 +283,14 @@ class TestTableBoundary:
         assert o.table == table.astype(np.uint8).tobytes()
         assert serialize_oracle(o) == text
         assert parse_oracle(serialize_oracle(o), name="f") == o
+
+
+class TestSharedTargetCheck:
+    @pytest.mark.parametrize("x_targets, b_target", [([0], 0), ([0], 2)])
+    def test_apply_oracle_uses_the_shared_check(self, x_targets, b_target):
+        with mock.patch("qckit.oracle._check_targets",
+                        wraps=qckit.oracle._check_targets) as check:
+            with pytest.raises(DimensionError):
+                apply_oracle(new_zero_state(2), Oracle(1, (0, 1)),
+                             x_targets, b_target)
+        check.assert_called_once_with(2, x_targets + [b_target])
