@@ -50,7 +50,9 @@ def qft_circuit(n_qubits: int) -> Circuit:
     Hadamards and controlled phases in the textbook cascade (qubit 0 is
     the most significant bit of j), then swaps reverse the qubit order.
     """
-    if not 1 <= n_qubits <= MAX_QFT_QUBITS:
+    if n_qubits < 1:
+        raise DimensionError(f"qft needs at least 1 qubit, got {n_qubits}")
+    if n_qubits > MAX_QFT_QUBITS:
         raise CapacityError(
             f"qft capped at {MAX_QFT_QUBITS} qubits, got {n_qubits}"
         )

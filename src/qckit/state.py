@@ -118,7 +118,8 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
             f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}"
         )
     if not 0 <= index < 2 ** n_qubits:
-        raise DimensionError(f"basis index {index} out of range")
+        raise DimensionError(
+            f"basis index {index} out of range for {n_qubits} qubits")
     amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
     amps[index] = 1.0
     return _unchecked(n_qubits, amps)

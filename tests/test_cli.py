@@ -201,6 +201,17 @@ class TestShor:
         assert "error:" in err and "even" in err
 
 
+    def test_no_factor_found(self, capsys):
+        with mock.patch("qckit.cli.algorithms.shor_factor",
+                        return_value=None):
+            code, out, err = run_cli(capsys, "shor", "15", "--seed", "3")
+        assert code == 1
+        assert json_out(out) == {"command": "shor", "n": 15, "seed": 3,
+                                 "factor": None}
+        assert '"factor": null' in out
+        assert err == "no factor of 15 found\n"
+
+
 class TestQTMCheck:
     def test_move_right(self, tmp_path, capsys):
         path = tmp_path / "mr.qtm"
@@ -263,8 +274,15 @@ class TestQFT:
 
     def test_bad_index(self, capsys):
         code, _, err = run_cli(capsys, "qft", "2", "9")
-        assert code == 2
-        assert "error:" in err
+        assert_one_error(code, err)
+        assert "basis index 9" in err and "2 qubits" in err
+
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_no_qubits(self, capsys, n):
+        code, out, err = run_cli(capsys, "qft", n)
+        assert_one_error(code, err)
+        assert "capped" not in err and f"got {n}" in err
+        assert out == ""
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "run", "/nonexistent.circuit")
@@ -381,7 +399,63 @@ class TestInputBoundary:
         assert message in err
 
 
+def _command_argv(tmp_path, command):
+    """Arguments of a successful call of each subcommand."""
+    circuit = tmp_path / "bell.circuit"
+    circuit.write_text(BELL)
+    oracle = tmp_path / "f.oracle"
+    oracle.write_text("inputs 2\n0110\n")
+    machine = tmp_path / "mr.qtm"
+    machine.write_text(MOVE_RIGHT)
+    return {
+        "run": ["run", str(circuit), "--shots", "16"],
+        "dj": ["dj", str(oracle)],
+        "shor": ["shor", "15", "--seed", "1"],
+        "qtm-check": ["qtm-check", str(machine), "--tape-cells", "2"],
+        "compile": ["compile", str(machine), "--tape-cells", "2",
+                    "-o", str(tmp_path / "mr.circuit")],
+        "qft": ["qft", "2", "1"],
+    }[command]
+
+
+class TestOutputPath:
+    """`main` writes every report: one stderr summary line unless --json,
+    then one JSON line that starts with `command` and ends with
+    `wall_time_ms`."""
+
+    COMMANDS = ["run", "dj", "shor", "qtm-check", "compile", "qft"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_summary_then_report(self, tmp_path, capsys, command):
+        code, out, err = run_cli(capsys, *_command_argv(tmp_path, command))
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 1 and not lines[0].startswith("error:"), err
+        assert out.count("\n") == 1
+        keys = list(json.loads(out))
+        assert keys[0] == "command" and keys[-1] == "wall_time_ms"
+        assert json.loads(out)["command"] == command
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_json_silences_stderr(self, tmp_path, capsys, command):
+        argv = _command_argv(tmp_path, command) + ["--json"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        keys = list(json.loads(out))
+        assert keys[0] == "command" and keys[-1] == "wall_time_ms"
+
+
 class TestShotsCap:
+    def test_at_cap(self, tmp_path, capsys):
+        path = tmp_path / "bell.circuit"
+        path.write_text(BELL)
+        code, out, err = run_cli(
+            capsys, "run", str(path), f"--shots={MAX_SHOTS}", "--json")
+        assert code == 0 and err == ""
+        counts = json_out(out)["counts"]
+        assert set(counts) == {"00", "11"}
+        assert sum(counts.values()) == MAX_SHOTS
+
     @pytest.mark.parametrize("shots", [MAX_SHOTS + 1, 10 ** 12])
     def test_too_many_shots(self, tmp_path, capsys, shots):
         path = tmp_path / "bell.circuit"
