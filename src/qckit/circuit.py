@@ -47,6 +47,7 @@ from qckit.state import (
 )
 
 MAX_UNITARY_QUBITS = 10  # circuit_unitary cap (1M-entry matrices)
+_ONE_BUFFER_QUBITS = 20  # simulate updates states this wide in place
 
 NAMED, ORACLE, UNITARY = "named", "oracle", "unitary"
 
@@ -132,8 +133,13 @@ def simulate(
 
     Oracle gates are resolved through `oracle_table` and applied via the
     strided kernel, incrementing `counter.quantum_queries` once each.
-    The state lives in two buffers that the gates write into by turns,
-    and only the returned state is checked for finiteness.
+    The state is a copy of `initial` or a new zero state. Every oracle
+    permutes it in place (`out` is the state's own array), and so does
+    every gate from _ONE_BUFFER_QUBITS qubits on, so a wide simulation
+    holds one state-sized buffer. On a narrower state a gate writes its
+    result into a second buffer, and the two alternate: while both are
+    small, that is cheaper than the in-place kernel's copy of each piece
+    it computes. Only the returned state is checked for finiteness.
     """
     if initial is None:
         state = new_zero_state(circuit.n_qubits)
@@ -144,7 +150,8 @@ def simulate(
         )
     else:
         state = _unchecked(initial.n_qubits, initial.amps.copy())
-    spare = np.empty_like(state.amps)
+    spare = (None if circuit.n_qubits >= _ONE_BUFFER_QUBITS
+             else np.empty_like(state.amps))
     for op in circuit.ops:
         if op.kind == ORACLE:
             oracle = (oracle_table or {}).get(op.name)
@@ -152,16 +159,17 @@ def simulate(
                 raise UnresolvedOracleError(
                     f"oracle {op.name!r} has no binding"
                 )
-            new = apply_oracle(
+            apply_oracle(
                 state, oracle, list(op.targets[:-1]), op.targets[-1],
-                counter=counter, out=spare,
+                counter=counter, out=state.amps,
             )
-        else:
-            nc = op.n_controls
-            new = apply_unitary(
-                state, op.matrix, op.targets[nc:], op.targets[:nc], out=spare
-            )
-        spare, state = state.amps, new
+            continue
+        nc = op.n_controls
+        new = apply_unitary(state, op.matrix, op.targets[nc:],
+                            op.targets[:nc],
+                            out=state.amps if spare is None else spare)
+        if spare is not None:
+            spare, state = state.amps, new
     return StateVector(state.n_qubits, state.amps)
 
 

@@ -2,9 +2,12 @@
 the XOR oracle gate |x,b> -> |x, b XOR I(x)>, query counting, and an
 exhaustive classical baseline for the constant-vs-balanced promise problem.
 
-The oracle gate is always moved, never multiplied: `_xor_permute` copies
-amplitudes by a gather index or a mask, block by cache-sized block, so its
-bits do not depend on the BLAS build.
+The oracle gate is always moved, never multiplied: `_xor_permute` swaps
+amplitudes in place by a gather index or a mask, block by cache-sized
+block, so its bits do not depend on the BLAS build. `apply_oracle` takes
+`out` as `apply_unitary` does: the state's own array to update it in
+place, or a separate buffer (a new one when None) that receives a copy
+of the state, which is then updated.
 """
 
 from __future__ import annotations
@@ -102,19 +105,21 @@ def oracle_gate(oracle: Oracle) -> np.ndarray:
     return m
 
 
-def _xor_permute(table: bytes, src: np.ndarray, dst: np.ndarray,
-                 x_axes: list[int], b_axis: int) -> None:
-    """dst[..x.., b] = src[..x.., b XOR table[x]] for two C-contiguous
-    arrays of one shape, x's bits (most significant first) on x_axes, b on
-    b_axis.
+def _xor_permute(table: bytes, amps: np.ndarray, x_axes: list[int],
+                 b_axis: int) -> None:
+    """Permute a C-contiguous array in place, amps[..x.., b] becoming
+    amps[..x.., b XOR table[x]], for x's bits (most significant first) on
+    x_axes and b on b_axis: the two b halves swap where I(x) = 1.
 
-    The arrays are cut into rows of their trailing axes, about _CHUNK
+    The array is cut into rows of its trailing axes, about _CHUNK
     amplitudes each, so every pass over a row stays in cache. The x bits on
     the leading axes select a part of the table, and the rows that share it
-    share one gather index (b inside a row) or one 1-D mask of where to
-    take the row of the other b value (b outside).
+    share one gather index (b inside a row), taken into a row-sized scratch
+    and copied back, or one 1-D mask of where a row swaps with the row of
+    the other b value (b outside), through the same scratch. Rows whose part
+    of the table is all 0 are left as they are.
     """
-    shape = src.shape
+    shape = amps.shape
     split = len(shape) - 1
     while split and math.prod(shape[split - 1:]) <= _CHUNK:
         split -= 1
@@ -126,8 +131,9 @@ def _xor_permute(table: bytes, src: np.ndarray, dst: np.ndarray,
         bit = [1] * part.ndim
         bit[axis if axis < split else axis - split] = 2
         part += np.arange(2).reshape(bit) << (len(x_axes) - 1 - i)
-    src, dst = src.reshape(high.size, -1), dst.reshape(high.size, -1)
+    amps = amps.reshape(high.size, -1)
     low = low.reshape(-1)
+    scratch = np.empty(low.size, dtype=amps.dtype)
     # the index of the same place with the other b value, in a row or of a row
     width = math.prod(shape[b_axis + 1:split] if b_axis < split
                       else shape[b_axis + 1:])
@@ -139,14 +145,19 @@ def _xor_permute(table: bytes, src: np.ndarray, dst: np.ndarray,
     values, starts = np.unique(rows[order], return_index=True)
     for value, group in zip(values.tolist(), np.split(order, starts[1:])):
         flip = table[value + low].view(bool)
+        if not flip.any():
+            continue
         if b_axis < split:
             for row in group.tolist():
-                np.copyto(dst[row], src[row])
-                np.copyto(dst[row], src[other[row]], where=flip)
+                if other[row] > row:  # each pair once, from its b = 0 row
+                    np.copyto(scratch, amps[row])
+                    np.copyto(amps[row], amps[other[row]], where=flip)
+                    np.copyto(amps[other[row]], scratch, where=flip)
         else:
             index = np.where(flip, other, np.arange(low.size))
             for row in group.tolist():
-                np.take(src[row], index, out=dst[row], mode="wrap")
+                np.take(amps[row], index, out=scratch, mode="wrap")
+                np.copyto(amps[row], scratch)
 
 
 def apply_oracle(
@@ -158,7 +169,9 @@ def apply_oracle(
     out: np.ndarray | None = None,
 ) -> StateVector:
     """Apply the oracle gate by permuting amplitudes in place of a matrix,
-    writing the result into `out` (see `apply_unitary` for its contract).
+    and return the state held in `out`: the state itself, updated in
+    place, when `out` is its own array, else a copy of it in `out` (a new
+    array when None), as for `apply_unitary`.
 
     Works at any width the state supports; counts one quantum query.
     """
@@ -169,10 +182,11 @@ def apply_oracle(
         )
     _check_targets(state.n_qubits, x_targets + [b_target])
     out = _out_buffer(state, out)
+    if out is not state.amps:
+        np.copyto(out, state.amps)
 
     n = state.n_qubits
-    _xor_permute(oracle.table, state.amps.reshape([2] * n),
-                 out.reshape([2] * n), x_targets, b_target)
+    _xor_permute(oracle.table, out.reshape([2] * n), x_targets, b_target)
     if counter is not None:
         counter.quantum_queries += 1
     return _unchecked(n, out)

@@ -370,12 +370,11 @@ def oracle_step(
     if outside.any():
         first = space.label(int(outside.argmax()))
         raise StateError(f"non-binary symbol at queried cells in {first}")
-    sub = amps[block]
-    permuted = np.empty_like(sub)
-    _xor_permute(oracle.table, sub, permuted,
-                 [2 + cell for cell in x_cells], 2 + b_cell)
+    sub = amps[block]  # a copy, permuted in place
+    _xor_permute(oracle.table, sub, [2 + cell for cell in x_cells],
+                 2 + b_cell)
     new_amps = np.zeros(space.shape, dtype=np.complex128)
-    new_amps[block] += permuted  # onto zeros, so -0.0 lands as +0.0
+    new_amps[block] += sub  # onto zeros, so -0.0 lands as +0.0
     if counter is not None:
         counter.quantum_queries += 1
     return QTMState(space, new_amps.reshape(-1))

@@ -2,9 +2,11 @@
 and entanglement diagnostics.
 
 The kernel `apply_unitary` takes a gate as its core matrix, its targets and
-its controls, and writes the new amplitudes into `out`: a new array when
-None, else a contiguous complex128 buffer that may not share memory with
-the state. The input state is never modified.
+its controls. With `out` the state's own array it updates the state in
+place, as `circuit.simulate` does on wide states, so that a simulation
+holds one state-sized buffer. Otherwise it writes the result into `out`,
+a new array when None, else a contiguous complex128 buffer that may not
+share memory with the state, and the input state is not modified.
 
 A core with one nonzero per row and column, each 1, -1, i or -i (the cores
 of x, y, z, s, swap, cx, ccx and mcx, and permutation `unitary` cores), is
@@ -13,24 +15,29 @@ _RUN_MIN contiguous amplitudes: each output block is one copy, or one
 multiply by -1, i or -i, of a source block. A permutation whose last target
 is among the last qubits (the work register of order finding, say) is
 multiplied, and so is every other core.
-A 1-target core is one BLAS matrix product on a reshape view of the state.
+A 1-target core is a BLAS matrix product on reshape views of the state.
 With R = 2**(n-1-t) amplitudes between the two halves of each pair, it is
 u @ (2, R) blocks when R >= _RUN_MIN; on the last qubits it is rows of
 width 2R times kron(u, I_R).T, and rows of 4 times kron(I_2, u).T for the
 last qubit, because u @ (2, R) makes one BLAS call per 2R amplitudes.
-Multi-target cores use a tensordot over the target axes, and so does every
-slice of fewer than 4 columns beside the targets. A controlled gate
-computes a region that holds the slice where every control is 1 and copies
-the rest from the state. Every form gives the same bits as that tensordot,
-which the tests check. For a moved core its products are exact and, on 4
-or more columns, accumulate from +0, so a move writes every zero as +0, and
-its bits do not depend on the BLAS build.
+In place, moves and products run one piece of about _SCRATCH amplitudes
+at a time: a piece's new amplitudes go into one scratch array and are
+copied back. Multi-target cores use a tensordot over the target axes,
+and so does every slice of fewer than 4 columns beside the targets; each
+tensordot piece is written where it was read. A controlled gate computes
+a region that holds the slice where every control is 1; a control that
+leaves runs shorter than _RUN_MIN is computed over. In place, only the
+control-1 slice of each piece is copied back; into a separate `out`, the
+rest is copied from the state. Every form gives the same bits as that
+tensordot, which the tests check. For a moved core its products are exact
+and, on 4 or more columns, accumulate from +0, so a move writes every zero
+as +0, and its bits do not depend on the BLAS build.
 
 Finiteness is checked where amplitudes enter: the StateVector constructor
-rejects non-finite amplitudes, kernel results and the basis states this
-module writes skip that scan, `simulate` checks the state it returns once,
-and the norm check run before every measurement rejects a NaN or infinite
-norm.
+rejects non-finite amplitudes, scanning _CHUNK amplitudes at a time, kernel
+results and the basis states this module writes skip that scan,
+`simulate` checks the state it returns once, and the norm check run before
+every measurement rejects a NaN or infinite norm.
 
 Convention: qubit 0 is the most significant bit of the basis-state index.
 For a 2-qubit state the amplitude order is |00>, |01>, |10>, |11> where the
@@ -58,6 +65,8 @@ _RUN_MIN = 64       # contiguous amplitudes a move, a column GEMM or a
                     # GEMM over rows
 _PIECE_QUBITS = 18  # tensordot piece size on wide states
 _CHUNK = 2 ** 14    # amplitudes per in-cache block of a two-pass update
+_SCRATCH = 2 ** 15  # amplitudes per piece a gate updates in place through
+                    # its scratch array
 
 
 @dataclass
@@ -74,8 +83,7 @@ class StateVector:
                 f"expected {2 ** self.n_qubits} amplitudes for "
                 f"{self.n_qubits} qubits, got {self.amps.shape}"
             )
-        if not np.all(np.isfinite(self.amps)):
-            raise StateError("amplitudes must be finite")
+        _check_finite(self.amps)
 
     def norm(self) -> float:
         """L2 norm, from one contiguous pass."""
@@ -90,6 +98,14 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
+
+
+def _check_finite(amps: np.ndarray) -> None:
+    """Raise StateError unless every amplitude is finite, scanning _CHUNK
+    amplitudes at a time, so no state-sized mask is made."""
+    for lo in range(0, len(amps), _CHUNK):
+        if not np.isfinite(amps[lo:lo + _CHUNK]).all():
+            raise StateError("amplitudes must be finite")
 
 
 def _check_norm(norm: float) -> None:
@@ -139,8 +155,9 @@ def _check_targets(n_qubits: int, targets: Sequence[int]):
 
 def _out_buffer(state: StateVector, out: np.ndarray | None) -> np.ndarray:
     """The array a kernel writes its result into: a new one for None, else
-    `out` itself, which must be a separate contiguous complex128 array of
-    the state's length."""
+    `out` itself, which must be a contiguous complex128 array of the
+    state's length, and either the state's own array (the kernel then
+    updates the state in place) or one that shares no memory with it."""
     if out is None:
         return np.empty_like(state.amps)
     if (out.shape != state.amps.shape or out.dtype != np.complex128
@@ -149,8 +166,9 @@ def _out_buffer(state: StateVector, out: np.ndarray | None) -> np.ndarray:
             f"out must be a contiguous complex128 array of shape "
             f"{state.amps.shape}"
         )
-    if np.shares_memory(out, state.amps):
-        raise DimensionError("out must not share memory with the state")
+    if out is not state.amps and np.shares_memory(out, state.amps):
+        raise DimensionError(
+            "out must be the state's own array or share no memory with it")
     return out
 
 
@@ -213,39 +231,124 @@ def _signed_copy(src, dst, factor) -> None:
             np.add(dst[piece], 0.0, out=dst[piece])
 
 
-def _pieces(shape):
-    """Index tuples that cut an array of this shape into blocks of about
-    _CHUNK elements: slices of one axis, under fixed indices of the axes
-    before it."""
+def _pieces(shape, size=_CHUNK):
+    """Index tuples, one slice per axis, that cut an array of this shape
+    into blocks of about `size` elements: a range of one axis, under single
+    indices of the axes before it, with the axes after it whole."""
     axis = 0
-    while math.prod(shape[axis + 1:]) > _CHUNK:
+    while math.prod(shape[axis + 1:]) > size:
         axis += 1
-    step = max(1, _CHUNK // math.prod(shape[axis + 1:]))
-    for head in np.ndindex(*shape[:axis]):
+    step = max(1, size // math.prod(shape[axis + 1:]))
+    tail = (slice(None),) * (len(shape) - axis - 1)
+    for head in itertools.product(*map(range, shape[:axis])):
         for lo in range(0, shape[axis], step):
-            yield head + (slice(lo, lo + step),)
+            yield (tuple(slice(i, i + 1) for i in head)
+                   + (slice(lo, lo + step),) + tail)
+
+
+def _put_back(piece, new, bits) -> None:
+    """piece = new where the index along piece's last axis, which counts
+    amplitudes of the state's index from a multiple of that axis' length,
+    has every bit in `bits` set."""
+    if not bits:
+        piece[...] = new
+        return
+    s = bits.bit_length()
+    split = _split(s, [s - 1 - b for b in reversed(range(s))
+                       if bits >> b & 1])
+    # splitting the last axis of a view is a view
+    shape = piece.shape[:-1] + (piece.shape[-1] >> s, *split)
+    index = ((slice(None),) * piece.ndim
+             + tuple(1 if i % 2 else slice(None) for i in range(len(split))))
+    piece.reshape(shape)[index] = new.reshape(shape)[index]
+
+
+def _with_whole(index, whole, ndim):
+    """`index`, an index tuple over the other axes, with the axes in
+    `whole` entire."""
+    index = iter(index)
+    return tuple(slice(None) if ax in whole else next(index)
+                 for ax in range(ndim))
+
+
+def _update(region, whole, bits, compute, tail=1) -> None:
+    """Update `region`, a view of the state, in place, one piece of about
+    _SCRATCH amplitudes at a time. A piece keeps the axes in `whole` entire
+    and at least 4 amplitudes of the others, so no piece has fewer than 2
+    free qubits beside the targets. compute(piece, new) writes the piece's
+    new amplitudes into a scratch array; they are copied back where every
+    bit in `bits` of the region's trailing index (its last `tail` axes,
+    which hold those bits) is set, and a piece where some such bit is 0
+    is skipped."""
+    kept = math.prod(region.shape[ax] for ax in whole)
+    if region.size <= max(_SCRATCH, 4 * kept):
+        indices = [(slice(None),) * region.ndim]
+    else:
+        rest = [size for ax, size in enumerate(region.shape)
+                if ax not in whole]
+        indices = (_with_whole(index, whole, region.ndim)
+                   for index in _pieces(rest, max(_SCRATCH // kept, 4)))
+    stride = math.prod(region.shape[region.ndim - tail + 1:])
+    scratch = None
+    for index in indices:
+        piece = region[index]
+        width = math.prod(piece.shape[piece.ndim - tail:])
+        lo = (index[-tail].start or 0) * stride
+        if lo & bits & -width != bits & -width:
+            continue
+        if scratch is None:
+            scratch = np.empty(piece.size, dtype=np.complex128)
+        new = scratch[:piece.size].reshape(piece.shape)
+        compute(piece, new)
+        if tail > 1:  # the trailing axes are one run of the index
+            piece = piece.reshape(piece.shape[:-tail] + (width,))
+            new = new.reshape(piece.shape)
+        _put_back(piece, new, bits & (width - 1))
+
+
+def _control_bits(n, controls) -> int:
+    """The mask of the controls' bits in an n-qubit index."""
+    return sum(1 << (n - 1 - int(c)) for c in controls)
 
 
 def _move(moves, src, dst, n, targets, controls) -> None:
-    """Write the signed permutation `moves` of the target axes into dst, on
-    a region that holds the slice where every control is 1: each output
-    block is one `_signed_copy` of a source block. A control restricts the
-    region when it leaves runs of at least _RUN_MIN amplitudes."""
+    """Apply the signed permutation `moves` of the target axes on a region
+    that holds the slice where every control is 1, writing into dst (src
+    itself, in place, when dst is None): each output block is one
+    `_signed_copy` of a source block. A control restricts the region when
+    it leaves runs of at least _RUN_MIN amplitudes; the others are
+    computed over."""
     k = len(targets)
     fixed = [c for c in controls if 2 ** (n - 1 - c) >= _RUN_MIN]
     marks = sorted(targets + fixed)
     shape = _split(n, marks)
-    src, dst = src.reshape(shape), dst.reshape(shape)
-    into = [slice(None)] * len(shape)
-    for c in fixed:
-        into[2 * marks.index(c) + 1] = 1
-    source = list(into)
+    fixed_axes = [2 * marks.index(c) + 1 for c in fixed]
+    index = [slice(None)] * len(shape)
+    for ax in fixed_axes:
+        index[ax] = 1
     axes = [2 * marks.index(t) + 1 for t in targets]
-    for i, (j, factor) in enumerate(moves):
+    blocks = []  # the index of each target block, fixed controls at 1
+    for i in range(2 ** k):
         for pos, ax in enumerate(axes):
-            into[ax] = i >> (k - 1 - pos) & 1
-            source[ax] = j >> (k - 1 - pos) & 1
-        _signed_copy(src[tuple(source)], dst[tuple(into)], factor)
+            index[ax] = i >> (k - 1 - pos) & 1
+        blocks.append(tuple(index))
+    if dst is not None:
+        src, dst = src.reshape(shape), dst.reshape(shape)
+        for i, (j, factor) in enumerate(moves):
+            _signed_copy(src[blocks[j]], dst[blocks[i]], factor)
+        return
+    # in place, on the region without the fixed control axes
+    kept = [ax for ax in range(len(shape)) if ax not in fixed_axes]
+    region = src.reshape(shape)[tuple(1 if ax in fixed_axes else slice(None)
+                                      for ax in range(len(shape)))]
+    blocks = [tuple(block[ax] for ax in kept) for block in blocks]
+
+    def compute(piece, new):
+        for i, (j, factor) in enumerate(moves):
+            _signed_copy(piece[blocks[j]], new[blocks[i]], factor)
+
+    bits = _control_bits(n, [c for c in controls if c not in fixed])
+    _update(region, [kept.index(ax) for ax in axes], bits, compute)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -256,16 +359,16 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _gemm_one_target(u, src, dst, n, t, controls) -> None:
-    """Write u applied to qubit t into dst, as one matrix product on reshape
-    views, on a region that holds the slice where every control is 1.
+    """Apply u to qubit t as matrix products on reshape views, on a region
+    that holds the slice where every control is 1, writing into dst (src
+    itself, in place, when dst is None).
 
     R = 2**(n-1-t) amplitudes separate the two halves of each pair. For
     R >= _RUN_MIN the product is u @ (2, R) blocks. For the last qubits
     it is (rows, 2R) @ kron(u, I_R).T, or (rows, 4) @ kron(I_2, u).T for
     R = 1: one BLAS call for all rows, where u @ (2, R) would make one per
     2R amplitudes. A control restricts the region when at least _RUN_MIN
-    contiguous columns or rows remain; the others are computed over, and
-    `_copy_outside_slice` then overwrites them.
+    contiguous columns or rows remain; the others are computed over.
     """
     r = 2 ** (n - 1 - t)
     if r >= _RUN_MIN:
@@ -280,26 +383,43 @@ def _gemm_one_target(u, src, dst, n, t, controls) -> None:
         shape, index = _split(n, marks), tuple(index)
         order = [ax for ax in range(len(shape) - len(fixed)) if ax != axis]
         order.insert(len(order) - 1, axis)
-        np.matmul(u, src.reshape(shape)[index].transpose(order),
-                  out=dst.reshape(shape)[index].transpose(order))
-        return
-    if r == 1:
-        block, start = _kron(np.eye(2), u), t - 1
+        region = src.reshape(shape)[index].transpose(order)
+        if dst is not None:
+            np.matmul(u, region,
+                      out=dst.reshape(shape)[index].transpose(order))
+            return
+        whole, tail = [region.ndim - 2], 1
+
+        def compute(piece, new):
+            np.matmul(u, piece, out=new)
     else:
-        block, start = _kron(u, np.eye(r)), t
-    fixed = [c for c in controls if c < start
-             and 2 ** (start - 1 - c) >= _RUN_MIN]
-    shape = _split(start, fixed) + [2 ** (n - start)]
-    index = tuple(1 if i % 2 else slice(None) for i in range(len(shape) - 1))
-    np.matmul(src.reshape(shape)[index], block.T,
-              out=dst.reshape(shape)[index])
+        if r == 1:
+            block, start = _kron(np.eye(2), u), t - 1
+        else:
+            block, start = _kron(u, np.eye(r)), t
+        fixed = [c for c in controls if c < start
+                 and 2 ** (start - 1 - c) >= _RUN_MIN]
+        shape = _split(start, fixed) + [2 ** (n - start)]
+        index = tuple(1 if i % 2 else slice(None)
+                      for i in range(len(shape) - 1))
+        region, block = src.reshape(shape)[index], block.T
+        if dst is not None:
+            np.matmul(region, block, out=dst.reshape(shape)[index])
+            return
+        whole, tail = [region.ndim - 1], 2
+
+        def compute(piece, new):
+            np.matmul(piece, block, out=new)
+    bits = _control_bits(n, [c for c in controls if c not in fixed])
+    _update(region, whole, bits, compute, tail)
 
 
 def _contract(u, src, dst, n, targets, controls) -> None:
     """Write u applied to `targets` into dst on the slice where every
-    control is 1, by a tensordot over the target axes. Wide slices are
-    cut into pieces of 2**_PIECE_QUBITS amplitudes along their leading free
-    qubits, which bounds tensordot's two temporaries."""
+    control is 1, by a tensordot over the target axes; dst may be src.
+    Wide slices are cut into pieces of 2**_PIECE_QUBITS amplitudes along
+    their leading free qubits, which bounds tensordot's two temporaries;
+    each piece is written where it was read."""
     k = len(targets)
     free = [q for q in range(n) if q not in controls and q not in targets]
     split = free[:max(0, n - len(controls) - _PIECE_QUBITS)]
@@ -337,13 +457,14 @@ def apply_unitary(
     out: np.ndarray | None = None,
 ) -> StateVector:
     """Apply a 2^k x 2^k unitary to the ordered target qubits where every
-    qubit in `controls` is 1, writing the result into `out`.
+    qubit in `controls` is 1, and return the state held in `out`.
 
     The matrix acts on the subsystem spanned by `targets` (targets[0] is the
     most significant bit of the sub-index) and as identity elsewhere. The
-    full 2^n embedded matrix is never materialized. `state` is never
-    modified; `out` (a new array when None) must not share memory with it.
-    The result is not rescanned for finiteness.
+    full 2^n embedded matrix is never materialized. With `out` the state's
+    own array the state is updated in place. Otherwise `state` is not
+    modified, and `out` (a new array when None) must share no memory with
+    it. The result is not rescanned for finiteness.
     """
     u = np.asarray(u, dtype=np.complex128)
     targets = list(targets)
@@ -364,13 +485,15 @@ def apply_unitary(
     wide = n - len(controls) - k >= 2
     moves = (_signed_permutation(u)
              if wide and 2 ** (n - 1 - max(targets)) >= _RUN_MIN else None)
+    dst = None if out is state.amps else out
     if moves is not None:
-        _move(moves, state.amps, out, n, targets, controls)
+        _move(moves, state.amps, dst, n, targets, controls)
     elif k == 1 and wide:
-        _gemm_one_target(u, state.amps, out, n, targets[0], controls)
+        _gemm_one_target(u, state.amps, dst, n, targets[0], controls)
     else:
         _contract(u, state.amps, out, n, targets, controls)
-    _copy_outside_slice(state.amps, out, n, controls)
+    if dst is not None:
+        _copy_outside_slice(state.amps, dst, n, controls)
     return _unchecked(n, out)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qckit.circuit
+import qckit.oracle
+import qckit.state
 from qckit.circuit import (
     Circuit,
     GateApp,
@@ -22,11 +25,18 @@ from qckit.errors import (
     ParseError,
     UnresolvedOracleError,
 )
-from qckit.gates import GATE_ARITY, controlled, standard_gate_matrix
+from qckit.gates import (
+    GATE_ARITY,
+    PARAMETRIC,
+    controlled,
+    standard_gate_matrix,
+)
 from qckit.oracle import Oracle, QueryCounter, oracle_gate
-from qckit.state import StateVector, basis_state, new_zero_state
+from qckit.state import MAX_QUBITS, StateVector, basis_state, new_zero_state
 
 from conftest import random_state, random_unitary
+from test_oracle import _permuted
+from test_state import _signed_permutation_core, _tensordot_reference
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -374,3 +384,104 @@ class TestCheckedOnce:
         with pytest.raises(ParseError) as exc:
             parse_circuit(text)
         assert (exc.value.line, exc.value.message) == (line, message)
+
+
+@st.composite
+def _in_place_circuits(draw):
+    """(n, ops, oracles, amps) on 2-12 qubits: named gates, `unitary` cores
+    (dense, or signed permutations that take the move form) on 1-3 targets
+    under 0-3 controls, and oracles; amplitudes include +0 and -0."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ops, oracles = [], {}
+    for _ in range(draw(st.integers(1, 6))):
+        qubits = [int(q) for q in rng.permutation(n)]
+        kind = draw(st.sampled_from([NAMED, UNITARY, ORACLE]))
+        if kind == NAMED:
+            name = draw(st.sampled_from(
+                [g for g, arity in GATE_ARITY.items() if (arity or 2) <= n]))
+            arity = GATE_ARITY[name] or draw(st.integers(2, min(5, n)))
+            param = float(rng.uniform(-4, 4)) if name in PARAMETRIC else None
+            ops.append(GateApp(NAMED, qubits[:arity], name=name, param=param))
+        elif kind == UNITARY:
+            k = draw(st.integers(1, min(3, n)))
+            n_controls = draw(st.integers(0, min(3, n - k)))
+            core = (_signed_permutation_core(rng, k, True)
+                    if draw(st.booleans()) else random_unitary(2 ** k, rng))
+            ops.append(GateApp(UNITARY, qubits[:n_controls + k], matrix=core,
+                               n_controls=n_controls))
+        else:
+            n_inputs = draw(st.integers(1, n - 1))
+            name = f"f{len(oracles)}"
+            oracles[name] = Oracle(n_inputs,
+                                   rng.integers(0, 2, 2 ** n_inputs))
+            ops.append(GateApp(ORACLE, qubits[:n_inputs + 1], name=name))
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    amps[rng.random(2 ** n) < 0.2] = 0.0
+    amps.imag[rng.random(2 ** n) < 0.2] = 0.0
+    amps[rng.random(2 ** n) < 0.3] *= -1.0  # turns some zeros into -0
+    return n, ops, oracles, amps / (np.linalg.norm(amps) or 1.0)
+
+
+def _gate_by_gate(n, ops, oracles, amps):
+    """The circuit applied one gate at a time by the kernels' references:
+    the tensordot for every core, the explicit permutation for oracles."""
+    for op in ops:
+        if op.kind == ORACLE:
+            amps = _permuted(amps, n, oracles[op.name].table,
+                             list(op.targets[:-1]), op.targets[-1])
+        else:
+            nc = op.n_controls
+            amps = _tensordot_reference(amps, op.matrix, n, op.targets[nc:],
+                                        op.targets[:nc])
+    return amps
+
+
+class TestOneBuffer:
+    """`simulate` updates one buffer in place from _ONE_BUFFER_QUBITS on,
+    through scratch pieces of _SCRATCH amplitudes, and gives the bits of
+    the two-buffer path and of the gate-by-gate references."""
+
+    @given(_in_place_circuits(), st.sampled_from([2 ** 4, 2 ** 5, 2 ** 6]),
+           st.sampled_from([4, 64]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_gate_by_gate_reference(self, case, scratch, run_min,
+                                            in_place):
+        # scratch pieces this small make every form cross piece boundaries;
+        # a run threshold of 4 restricts more controls and moves more cores
+        n, ops, oracles, amps = case
+        before = amps.copy()
+        with mock.patch.multiple(qckit.state, _SCRATCH=scratch,
+                                 _RUN_MIN=run_min), \
+                mock.patch.object(qckit.oracle, "_CHUNK", scratch), \
+                mock.patch.object(qckit.circuit, "_ONE_BUFFER_QUBITS",
+                                  1 if in_place else 64):
+            got = simulate(Circuit(n, ops), StateVector(n, amps), oracles)
+        want = _gate_by_gate(n, ops, oracles, before)
+        assert got.amps.tobytes() == want.tobytes()
+        assert amps.tobytes() == before.tobytes()
+
+    def test_peak_memory_at_max_qubits(self, rng):
+        # one op of each form on a MAX_QUBITS state: the only state-sized
+        # allocation beyond the input is simulate's one buffer
+        n = MAX_QUBITS
+        ops = [
+            GateApp(NAMED, (3,), name="h"),             # column GEMM
+            GateApp(NAMED, (n - 1,), name="t"),         # kron GEMM
+            GateApp(NAMED, (15,), name="x"),            # move
+            GateApp(UNITARY, (4, 9), matrix=random_unitary(4, rng)),
+            GateApp(NAMED, (1, 6, 10, 20, 12), name="mcx"),
+            GateApp(ORACLE, tuple(range(0, 22, 2)), name="f"),
+        ]
+        oracles = {"f": Oracle(10, rng.integers(0, 2, 2 ** 10))}
+        initial = basis_state(n, 5)
+        state_bytes = initial.amps.nbytes
+        tracemalloc.start()
+        try:
+            final = simulate(Circuit(n, ops), initial, oracles)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * state_bytes
+        assert final.amps.nbytes == state_bytes
+        assert abs(final.norm() - 1.0) < 1e-9

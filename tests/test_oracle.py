@@ -158,10 +158,19 @@ class TestApplyOracleExact:
             assert got is out
 
     def test_out_aliasing_state_rejected(self, rng):
+        # out=psi updates the state in place; any other overlap raises
         psi = random_state(3, rng)
+        state, oracle = StateVector(3, psi), Oracle(2, (0, 1, 1, 0))
+        want = apply_oracle(state, oracle, [0, 1], 2).amps
+        got = apply_oracle(state, oracle, [0, 1], 2, out=psi).amps
+        assert got is psi and psi.tobytes() == want.tobytes()
         with pytest.raises(DimensionError):
-            apply_oracle(StateVector(3, psi), Oracle(2, (0, 1, 1, 0)),
-                         [0, 1], 2, out=psi)
+            apply_oracle(state, oracle, [0, 1], 2, out=psi.view())
+        wide = np.zeros(16, dtype=complex)
+        wide[4:12] = psi
+        with pytest.raises(DimensionError):
+            apply_oracle(StateVector(3, wide[4:12]), oracle, [0, 1], 2,
+                         out=wide[:8])
 
     @given(st.integers(2, 10), st.integers(0, 2 ** 32 - 1),
            st.sampled_from(["first", "middle", "last"]), st.booleans(),

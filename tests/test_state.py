@@ -311,14 +311,43 @@ class TestMoveForm:
         assert _same_bits(got.amps, _tensordot_reference(psi, core, 8, [0]))
 
 
+class TestInPlace:
+    """out=state.amps updates the state in place, one scratch piece of
+    _SCRATCH amplitudes at a time, and gives the bits of a separate out."""
+
+    @given(st.one_of(_gates(), _moves()),
+           st.sampled_from([2 ** 4, 2 ** 6, 2 ** 15]),
+           st.sampled_from([4, 64]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_out_of_place(self, gate, scratch, run_min):
+        n, amps, core, targets, controls = gate
+        with mock.patch.multiple(qckit.state, _SCRATCH=scratch,
+                                 _RUN_MIN=run_min):
+            want = apply_unitary(StateVector(n, amps), core, targets,
+                                 controls).amps
+            state = StateVector(n, amps.copy())
+            got = apply_unitary(state, core, targets, controls,
+                                out=state.amps)
+        assert got.amps is state.amps
+        assert _same_bits(got.amps, want)
+
+
 class TestOutBuffer:
     def test_out_aliasing_state_rejected(self, rng):
+        # out=amps updates the state in place; any other overlap raises
         amps = random_state(4, rng)
         s = StateVector(4, amps)
-        with pytest.raises(DimensionError):
-            apply_unitary(s, np.eye(2), [0], out=amps)
+        u = random_unitary(2, rng)
+        want = apply_unitary(s, u, [0]).amps
+        got = apply_unitary(s, u, [0], out=amps)
+        assert got.amps is amps and _same_bits(amps, want)
         with pytest.raises(DimensionError):
             apply_unitary(s, np.eye(2), [0], out=amps.view())
+        wide = np.zeros(32, dtype=complex)
+        wide[8:24] = amps
+        with pytest.raises(DimensionError):
+            apply_unitary(StateVector(4, wide[8:24]), np.eye(2), [0],
+                          out=wide[:16])
 
     @pytest.mark.parametrize("out", [
         np.empty(8, dtype=complex),
