@@ -140,18 +140,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
     common.add_argument(
         "--json", action="store_true",
         help="suppress the human-readable stderr summary",
     )
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
 
-    def command(name, func, help):
-        p = sub.add_parser(name, parents=[common], help=help)
+    def command(name, func, help, parent=common):
+        p = sub.add_parser(name, parents=[parent], help=help)
         p.set_defaults(func=func)
         return p
 
-    p = command("run", cmd_run, "simulate a circuit file and sample shots")
+    p = command("run", cmd_run, "simulate a circuit file and sample shots",
+                seeded)
     p.add_argument("circuit")
     p.add_argument("--shots", type=int, default=1024)
     p.add_argument(
@@ -161,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("dj", cmd_dj, "Deutsch-Jozsa on an oracle file")
     p.add_argument("oracle_file")
 
-    p = command("shor", cmd_shor, "factor a small odd composite")
+    p = command("shor", cmd_shor, "factor a small odd composite", seeded)
     p.add_argument("n", type=int)
 
     p = command("qtm-check", cmd_qtm_check, "well-formedness of a QTM file")
@@ -185,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     args = build_parser().parse_args(argv)
     try:
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:  # only run and shor take --seed
             raise QckitError(f"--seed must be >= 0, got {args.seed}")
         code, summary, fields = args.func(args)
         if not args.json:

@@ -8,30 +8,33 @@ holds one state-sized buffer. Otherwise it writes the result into `out`,
 a new array when None, else a contiguous complex128 buffer that may not
 share memory with the state, and the input state is not modified.
 
-A core with one nonzero per row and column, each 1, -1, i or -i (the cores
-of x, y, z, s, swap, cx, ccx and mcx, and permutation `unitary` cores), is
-moved, not multiplied, when its last target leaves runs of at least
-_RUN_MIN contiguous amplitudes: each output block is one copy, or one
-multiply by -1, i or -i, of a source block. A permutation whose last target
-is among the last qubits (the work register of order finding, say) is
-multiplied, and so is every other core.
-A 1-target core is a BLAS matrix product on reshape views of the state.
-With R = 2**(n-1-t) amplitudes between the two halves of each pair, it is
-u @ (2, R) blocks when R >= _RUN_MIN; on the last qubits it is rows of
-width 2R times kron(u, I_R).T, and rows of 4 times kron(I_2, u).T for the
-last qubit, because u @ (2, R) makes one BLAS call per 2R amplitudes.
-In place, moves and products run one piece of about _SCRATCH amplitudes
-at a time: a piece's new amplitudes go into one scratch array and are
-copied back. Multi-target cores use a tensordot over the target axes,
-and so does every slice of fewer than 4 columns beside the targets; each
-tensordot piece is written where it was read. A controlled gate computes
-a region that holds the slice where every control is 1; a control that
-leaves runs shorter than _RUN_MIN is computed over. In place, only the
-control-1 slice of each piece is copied back; into a separate `out`, the
-rest is copied from the state. Every form gives the same bits as that
-tensordot, which the tests check. For a moved core its products are exact
-and, on 4 or more columns, accumulate from +0, so a move writes every zero
-as +0, and its bits do not depend on the BLAS build.
+Each gate takes one of four forms, and each form is one `compute` closure
+over a region of the state. `_region` gives the form's qubits an axis of 2
+and holds the slice where every control is 1; a control that leaves runs
+shorter than the form's run length is computed over. `_update` writes the
+region into a separate `out` by one `compute` call (apply_unitary copies
+the rest from the state), or in place, one piece of about _SCRATCH
+amplitudes at a time through one scratch array, copying back only where
+every computed-over control is 1.
+
+- A core with one nonzero per row and column, each 1, -1, i or -i (x, y,
+  z, s, swap, cx, ccx, mcx and permutation `unitary` cores), is moved
+  when its last target leaves runs of at least _RUN_MIN amplitudes: each
+  output block is one copy, or one multiply by -1, i or -i, of a source
+  block.
+- Any other 1-target core is a BLAS product. With R = 2**(n-1-t)
+  amplitudes between the halves of each pair, it is u @ (2, R) blocks for
+  R >= _RUN_MIN, else rows of width = max(2R, 4) times
+  kron(I_{width/2R}, kron(u, I_R)).T, as u @ (2, R) makes one BLAS call
+  per 2R amplitudes.
+- Multi-target cores, and slices of fewer than 4 columns beside the
+  targets, are a tensordot over the target axes, restricted by every
+  control.
+
+Every form gives the same bits as that tensordot, which the tests check.
+A move's products are exact and, on 4 or more columns, accumulate from
++0, so a move writes every zero as +0 and its bits do not depend on the
+BLAS build.
 
 Finiteness is checked where amplitudes enter: the StateVector constructor
 rejects non-finite amplitudes, scanning _CHUNK amplitudes at a time, kernel
@@ -63,7 +66,6 @@ GATE_NORM_TOL = 1e-6  # precondition gating (accumulated float error)
 _RUN_MIN = 64       # contiguous amplitudes a move, a column GEMM or a
                     # restricting control leaves; shorter runs lose to a
                     # GEMM over rows
-_PIECE_QUBITS = 18  # tensordot piece size on wide states
 _CHUNK = 2 ** 14    # amplitudes per in-cache block of a two-pass update
 _SCRATCH = 2 ** 15  # amplitudes per piece a gate updates in place through
                     # its scratch array
@@ -271,15 +273,42 @@ def _with_whole(index, whole, ndim):
                  for ax in range(ndim))
 
 
-def _update(region, whole, bits, compute, tail=1) -> None:
-    """Update `region`, a view of the state, in place, one piece of about
-    _SCRATCH amplitudes at a time. A piece keeps the axes in `whole` entire
-    and at least 4 amplitudes of the others, so no piece has fewer than 2
-    free qubits beside the targets. compute(piece, new) writes the piece's
-    new amplitudes into a scratch array; they are copied back where every
-    bit in `bits` of the region's trailing index (its last `tail` axes,
-    which hold those bits) is set, and a piece where some such bit is 0
-    is skipped."""
+def _region(src, dst, n, qubits, controls, run):
+    """Reshape views of src and of dst (None stays None) that give each of
+    `qubits` an axis of 2 and hold the slice where every control that
+    leaves runs of at least `run` amplitudes is 1; with the axes of
+    `qubits`, in their order, and the mask of the other controls' bits,
+    which a gate computes over."""
+    fixed = [c for c in controls if 2 ** (n - 1 - c) >= run]
+    marks = sorted(qubits + fixed)
+    shape = _split(n, marks)
+    index = [slice(None)] * len(shape)
+    for c in fixed:
+        index[2 * marks.index(c) + 1] = 1
+    index = tuple(index)
+    src = src.reshape(shape)[index]
+    if dst is not None:
+        dst = dst.reshape(shape)[index]
+    axes = [2 * marks.index(q) + 1 - sum(c < q for c in fixed)
+            for q in qubits]
+    bits = sum(1 << (n - 1 - int(c)) for c in controls if c not in fixed)
+    return src, dst, axes, bits
+
+
+def _update(region, out, whole, bits, compute, tail=1) -> None:
+    """Write the new amplitudes of `region`, a view of the state, into
+    `out`, a view of another array, by one compute(region, out) call; or,
+    when out is None, into the region itself, one piece of about _SCRATCH
+    amplitudes at a time. A piece keeps the axes in `whole` entire and at
+    least 4 amplitudes of the others, so no piece has fewer than 2 free
+    qubits beside the targets. compute(piece, new) writes the piece's new
+    amplitudes into a scratch array; they are copied back where every bit
+    in `bits` of the region's trailing index (its last `tail` axes, which
+    hold those bits) is set, and a piece where some such bit is 0 is
+    skipped."""
+    if out is not None:
+        compute(region, out)
+        return
     kept = math.prod(region.shape[ax] for ax in whole)
     if region.size <= max(_SCRATCH, 4 * kept):
         indices = [(slice(None),) * region.ndim]
@@ -306,135 +335,85 @@ def _update(region, whole, bits, compute, tail=1) -> None:
         _put_back(piece, new, bits & (width - 1))
 
 
-def _control_bits(n, controls) -> int:
-    """The mask of the controls' bits in an n-qubit index."""
-    return sum(1 << (n - 1 - int(c)) for c in controls)
-
-
 def _move(moves, src, dst, n, targets, controls) -> None:
-    """Apply the signed permutation `moves` of the target axes on a region
-    that holds the slice where every control is 1, writing into dst (src
-    itself, in place, when dst is None): each output block is one
-    `_signed_copy` of a source block. A control restricts the region when
-    it leaves runs of at least _RUN_MIN amplitudes; the others are
-    computed over."""
+    """Apply the signed permutation `moves` of the target axes, writing
+    into dst (src itself, in place, when dst is None): each output block
+    is one `_signed_copy` of a source block."""
+    region, out, axes, bits = _region(src, dst, n, targets, controls,
+                                      _RUN_MIN)
     k = len(targets)
-    fixed = [c for c in controls if 2 ** (n - 1 - c) >= _RUN_MIN]
-    marks = sorted(targets + fixed)
-    shape = _split(n, marks)
-    fixed_axes = [2 * marks.index(c) + 1 for c in fixed]
-    index = [slice(None)] * len(shape)
-    for ax in fixed_axes:
-        index[ax] = 1
-    axes = [2 * marks.index(t) + 1 for t in targets]
-    blocks = []  # the index of each target block, fixed controls at 1
+    blocks = []  # the index of each target block
     for i in range(2 ** k):
+        index = [slice(None)] * region.ndim
         for pos, ax in enumerate(axes):
             index[ax] = i >> (k - 1 - pos) & 1
         blocks.append(tuple(index))
-    if dst is not None:
-        src, dst = src.reshape(shape), dst.reshape(shape)
-        for i, (j, factor) in enumerate(moves):
-            _signed_copy(src[blocks[j]], dst[blocks[i]], factor)
-        return
-    # in place, on the region without the fixed control axes
-    kept = [ax for ax in range(len(shape)) if ax not in fixed_axes]
-    region = src.reshape(shape)[tuple(1 if ax in fixed_axes else slice(None)
-                                      for ax in range(len(shape)))]
-    blocks = [tuple(block[ax] for ax in kept) for block in blocks]
 
     def compute(piece, new):
         for i, (j, factor) in enumerate(moves):
             _signed_copy(piece[blocks[j]], new[blocks[i]], factor)
 
-    bits = _control_bits(n, [c for c in controls if c not in fixed])
-    _update(region, [kept.index(ax) for ax in axes], bits, compute)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two square matrices, entry for entry, by one broadcast
-    product (np.kron's own checks cost more than the product here)."""
-    m, k = len(a), len(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * k, m * k)
+    _update(region, out, axes, bits, compute)
 
 
 def _gemm_one_target(u, src, dst, n, t, controls) -> None:
-    """Apply u to qubit t as matrix products on reshape views, on a region
-    that holds the slice where every control is 1, writing into dst (src
-    itself, in place, when dst is None).
+    """Apply u to qubit t as matrix products on reshape views, writing
+    into dst (src itself, in place, when dst is None).
 
     R = 2**(n-1-t) amplitudes separate the two halves of each pair. For
     R >= _RUN_MIN the product is u @ (2, R) blocks. For the last qubits
-    it is (rows, 2R) @ kron(u, I_R).T, or (rows, 4) @ kron(I_2, u).T for
-    R = 1: one BLAS call for all rows, where u @ (2, R) would make one per
-    2R amplitudes. A control restricts the region when at least _RUN_MIN
-    contiguous columns or rows remain; the others are computed over.
+    it is rows of width = max(2R, 4) amplitudes times
+    kron(I_a, kron(u, I_R)).T with a = width/2R: one BLAS call for all
+    rows, where u @ (2, R) would make one per 2R amplitudes. A control
+    restricts the region when at least _RUN_MIN contiguous columns or rows
+    remain.
     """
     r = 2 ** (n - 1 - t)
     if r >= _RUN_MIN:
-        fixed = [c for c in controls if 2 ** (n - 1 - c) >= _RUN_MIN]
-        marks = sorted(fixed + [t])
-        index = [slice(None)] * (2 * len(marks) + 1)
-        for i, q in enumerate(marks):
-            if q != t:
-                index[2 * i + 1] = 1
-        # move the target axis next to the last run, the columns
-        axis = 2 * marks.index(t) + 1 - sum(c < t for c in fixed)
-        shape, index = _split(n, marks), tuple(index)
-        order = [ax for ax in range(len(shape) - len(fixed)) if ax != axis]
-        order.insert(len(order) - 1, axis)
-        region = src.reshape(shape)[index].transpose(order)
-        if dst is not None:
-            np.matmul(u, region,
-                      out=dst.reshape(shape)[index].transpose(order))
-            return
-        whole, tail = [region.ndim - 2], 1
+        region, out, (axis,), bits = _region(src, dst, n, [t], controls,
+                                             _RUN_MIN)
+        whole, tail = [axis], 1
 
         def compute(piece, new):
-            np.matmul(u, piece, out=new)
+            # u times the (2, R) blocks of the target axis and the columns
+            np.matmul(u, piece, out=new,
+                      axes=[(0, 1), (axis, -1), (axis, -1)])
     else:
-        if r == 1:
-            block, start = _kron(np.eye(2), u), t - 1
-        else:
-            block, start = _kron(u, np.eye(r)), t
-        fixed = [c for c in controls if c < start
-                 and 2 ** (start - 1 - c) >= _RUN_MIN]
-        shape = _split(start, fixed) + [2 ** (n - start)]
-        index = tuple(1 if i % 2 else slice(None)
-                      for i in range(len(shape) - 1))
-        region, block = src.reshape(shape)[index], block.T
-        if dst is not None:
-            np.matmul(region, block, out=dst.reshape(shape)[index])
-            return
-        whole, tail = [region.ndim - 1], 2
+        width = max(2 * r, 4)
+        a = width // (2 * r)
+        # kron(I_a, kron(u, I_R)) by one broadcast product, entry for entry
+        # (np.kron's own checks cost more than the product here)
+        block = (np.eye(a * r).reshape(a, 1, r, a, 1, r)
+                 * u.reshape(1, 2, 1, 1, 2, 1)).reshape(width, width).T
+        # a row starts at qubit min(t, n - 2), which gets an axis of 2, so
+        # a row is the region's last two axes
+        region, out, _, bits = _region(src, dst, n, [min(t, n - 2)],
+                                       controls, _RUN_MIN * width)
+        whole, tail = [region.ndim - 2, region.ndim - 1], 3
 
         def compute(piece, new):
-            np.matmul(piece, block, out=new)
-    bits = _control_bits(n, [c for c in controls if c not in fixed])
-    _update(region, whole, bits, compute, tail)
+            rows = piece.shape[:-2] + (width,)
+            np.matmul(piece.reshape(rows), block, out=new.reshape(rows))
+    _update(region, out, whole, bits, compute, tail)
 
 
 def _contract(u, src, dst, n, targets, controls) -> None:
-    """Write u applied to `targets` into dst on the slice where every
-    control is 1, by a tensordot over the target axes; dst may be src.
-    Wide slices are cut into pieces of 2**_PIECE_QUBITS amplitudes along
-    their leading free qubits, which bounds tensordot's two temporaries;
-    each piece is written where it was read."""
+    """Apply u to `targets` by a tensordot over the target axes, writing
+    into dst (src itself, in place, when dst is None). Every control
+    restricts the region, since the slice's width can change the
+    tensordot's rounding."""
+    region, out, axes, _ = _region(src, dst, n, targets, controls, 1)
     k = len(targets)
-    free = [q for q in range(n) if q not in controls and q not in targets]
-    split = free[:max(0, n - len(controls) - _PIECE_QUBITS)]
-    kept = [q for q in range(n) if q not in controls and q not in split]
-    axes = [kept.index(t) for t in targets]
-    rest = [ax for ax in range(len(kept)) if ax not in axes]
-    order = np.argsort(axes + rest)
     u_tensor = u.reshape([2] * (2 * k))
-    src, dst = src.reshape([2] * n), dst.reshape([2] * n)
-    for bits in itertools.product((0, 1), repeat=len(split)):
-        fixed = dict(zip(split, bits)) | dict.fromkeys(controls, 1)
-        index = tuple(fixed.get(q, slice(None)) for q in range(n))
-        new = np.tensordot(u_tensor, src[index], (list(range(k, 2 * k)), axes))
+    rest = [ax for ax in range(region.ndim) if ax not in axes]
+    order = np.argsort(axes + rest)
+
+    def compute(piece, new):
         # tensordot puts the k output axes first; restore the axis order
-        dst[index] = new.transpose(order)
+        new[...] = np.tensordot(u_tensor, piece, (list(range(k, 2 * k)),
+                                                  axes)).transpose(order)
+
+    _update(region, out, axes, 0, compute)
 
 
 def _copy_outside_slice(src, dst, n, controls) -> None:
@@ -491,7 +470,7 @@ def apply_unitary(
     elif k == 1 and wide:
         _gemm_one_target(u, state.amps, dst, n, targets[0], controls)
     else:
-        _contract(u, state.amps, out, n, targets, controls)
+        _contract(u, state.amps, dst, n, targets, controls)
     if dst is not None:
         _copy_outside_slice(state.amps, dst, n, controls)
     return _unchecked(n, out)

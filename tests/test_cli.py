@@ -332,6 +332,13 @@ class TestInputBoundary:
         code, _, err = run_cli(capsys, "shor", "15", "--seed=-1")
         assert_one_error(code, err)
 
+    def test_seed_only_where_used(self, capsys):
+        # qft draws nothing, so it does not take --seed
+        with pytest.raises(SystemExit) as exit_:
+            main(["qft", "3", "--seed", "1"])
+        assert exit_.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["qtm-check", "compile"])
     @pytest.mark.parametrize("cells", ["-1", "0"])
     def test_empty_tape_window(self, tmp_path, capsys, command, cells):

@@ -49,13 +49,13 @@ TAPE_CELLS = _flag("--tape-cells", st.integers(1, 6), [0, -1, 31, 10 ** 6])
 FLAGS = {
     "run": [_flag("--shots", st.integers(0, 64),
                   [-1, MAX_SHOTS + 1, 10 ** 12]), SEED],
-    "dj": [SEED],
+    "dj": [],
     "shor": [SEED],
-    "qtm-check": [TAPE_CELLS, SEED],
-    "compile": [TAPE_CELLS, SEED,
+    "qtm-check": [TAPE_CELLS],
+    "compile": [TAPE_CELLS,
                 _flag("--tol", st.floats(1e-12, 1e-3),
                       ["nan", "inf", "0", "-1e-8"])],
-    "qft": [SEED],
+    "qft": [],
 }
 
 

@@ -177,9 +177,10 @@ class TestKernelBitExact:
         n, amps, core, targets, controls = gate
         before = amps.copy()
         out = np.full_like(amps, np.nan) if use_out else None
-        # short runs put more controls on the restricted path and reach the
-        # piecewise tensordot, which otherwise needs 19 free qubits
-        runs = (mock.patch.multiple(qckit.state, _RUN_MIN=4, _PIECE_QUBITS=5)
+        # short runs put more controls on the restricted path and turn
+        # more 1-target cores into the column GEMM; TestInPlace reaches the
+        # in-place pieces through _SCRATCH
+        runs = (mock.patch.multiple(qckit.state, _RUN_MIN=4)
                 if short_runs else contextlib.nullcontext())
         with runs:
             got = apply_unitary(StateVector(n, amps), core, targets,
@@ -313,7 +314,8 @@ class TestMoveForm:
 
 class TestInPlace:
     """out=state.amps updates the state in place, one scratch piece of
-    _SCRATCH amplitudes at a time, and gives the bits of a separate out."""
+    _SCRATCH amplitudes at a time, and gives the bits of a separate out
+    and of the tensordot reference."""
 
     @given(st.one_of(_gates(), _moves()),
            st.sampled_from([2 ** 4, 2 ** 6, 2 ** 15]),
@@ -330,6 +332,9 @@ class TestInPlace:
                                 out=state.amps)
         assert got.amps is state.amps
         assert _same_bits(got.amps, want)
+        assert _same_bits(got.amps,
+                          _tensordot_reference(amps, core, n, targets,
+                                               controls))
 
 
 class TestOutBuffer:
