@@ -7,16 +7,18 @@ Text format (UTF-8, line oriented):
     oracle <name> <x-targets...> <ancilla-target>
     unitary <n_controls> <target...> : <re im ...>
 
-Gate names: i x y z h s t phase cphase cx swap ccx mcx. Comments start
-with '#', blank lines are ignored. The `unitary` line carries a raw core
-matrix (row-major re/im pairs) on the non-control targets; it exists so
-compiled circuits, which use multi-controlled single-qubit primitives,
-serialize losslessly.
+Gate names: i x y z h s t phase cphase cx swap ccx mcx. The lines are
+read by `errors._records` (a '#' comment may end any line, blank lines
+are skipped); N must lie in [1, MAX_QUBITS]. The `unitary` line carries a
+raw core matrix (row-major re/im pairs) on the non-control targets; it
+exists so compiled circuits, which use multi-controlled single-qubit
+primitives, serialize losslessly.
 
 Every gate but an oracle is simulated as its core matrix on the slice of
 the state where its controls, the leading targets, are all 1.
 `state._check_targets` is the one check of a gate's qubits: `Circuit` runs
-it on each op, and `parse_circuit` first on each line, to name the line. A
+it on each op, and `parse_circuit` first on each line, to name the line;
+a `unitary` line's targets are checked before they size its core. A
 named gate is resolved to its core once, when its GateApp is built.
 `circuit_unitary` is one simulation on a doubled register holding
 sum_j |j>|j>.
@@ -33,12 +35,16 @@ from qckit.errors import (
     DimensionError,
     ParseError,
     UnresolvedOracleError,
+    _parse_float,
+    _parse_int,
+    _records,
     at_line,
 )
 from qckit.gates import _unitarity_deviation, gate_core
 from qckit.oracle import Oracle, QueryCounter, apply_oracle
 from qckit.state import (
     GATE_NORM_TOL,
+    MAX_QUBITS,
     StateVector,
     _check_targets,
     _unchecked,
@@ -190,23 +196,6 @@ def circuit_unitary(
     return simulate(doubled, identity, oracle_table).amps.reshape(dim, dim)
 
 
-def _parse_float(tok: str, lineno: int) -> float:
-    try:
-        v = float(tok)
-    except ValueError:
-        raise ParseError(lineno, f"bad number {tok!r}") from None
-    if not np.isfinite(v):
-        raise ParseError(lineno, f"number {tok!r} must be finite")
-    return v
-
-
-def _parse_int(tok: str, lineno: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(lineno, f"bad integer {tok!r}") from None
-
-
 def _parse_targets(toks: list[str], lineno: int) -> tuple:
     if not toks:
         raise ParseError(lineno, "gate line has no targets")
@@ -216,21 +205,13 @@ def _parse_targets(toks: list[str], lineno: int) -> tuple:
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit text; raises ParseError with a line number on any
     malformed input (never crashes on arbitrary bytes)."""
-    n_qubits = None
+    records = _records(text)
+    lineno, toks = next(records, (1, []))
+    if toks[:1] != ["qubits"] or len(toks) != 2:
+        raise ParseError(lineno, "expected 'qubits N' header")
+    n_qubits = _parse_int(toks[1], lineno, 1, MAX_QUBITS)
     ops: list[GateApp] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if n_qubits is None:
-            if toks[0] != "qubits" or len(toks) != 2:
-                raise ParseError(lineno, "expected 'qubits N' header")
-            n_qubits = _parse_int(toks[1], lineno)
-            if n_qubits < 1:
-                raise ParseError(lineno, "qubit count must be >= 1")
-            continue
-
+    for lineno, toks in records:
         head = toks[0]
         if head == "oracle":
             if len(toks) < 4:
@@ -249,6 +230,8 @@ def parse_circuit(text: str) -> Circuit:
                 )
             n_controls = _parse_int(toks[1], lineno)
             targets = _parse_targets(toks[2:sep], lineno)
+            with at_line(lineno):  # before the targets size the core
+                _check_targets(n_qubits, targets)
             if not 0 <= n_controls < len(targets):
                 raise ParseError(lineno, f"bad control count {n_controls}")
             vals = [_parse_float(t, lineno) for t in toks[sep + 1:]]
@@ -277,9 +260,6 @@ def parse_circuit(text: str) -> Circuit:
         with at_line(lineno):  # after the gate's own checks
             _check_targets(n_qubits, op.targets)
         ops.append(op)
-
-    if n_qubits is None:
-        raise ParseError(1, "missing 'qubits N' header")
     return Circuit(n_qubits, ops)
 
 

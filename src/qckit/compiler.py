@@ -163,7 +163,15 @@ def _lower(
     """Gates with controls on 1 for pattern ops, in one running X frame:
     an `x` is emitted only where the flips a gate needs differ from the
     frame's. A core's target is unflipped before it (an X core commutes
-    with the flip), and the frame is undone at the end."""
+    with the flip), and the frame is undone at the end. An X op equal to
+    the op before it undoes it, so the two are dropped first."""
+    kept: list[tuple[list[int], int, np.ndarray | None]] = []
+    for op in ops:
+        if (kept and op[2] is None and kept[-1][2] is None
+                and kept[-1][:2] == op[:2]):
+            kept.pop()
+        else:
+            kept.append(op)
     frame = [0] * n
     gates: list[GateApp] = []
 
@@ -173,7 +181,7 @@ def _lower(
                 gates.append(GateApp(NAMED, (q,), name="x"))
                 frame[q] = want[q]
 
-    for bits, target, core in ops:
+    for bits, target, core in kept:
         want = [1 - b for b in bits]
         want[target] = frame[target] if core is None else 0
         flip_to(want)

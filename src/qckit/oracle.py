@@ -19,7 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
-from qckit.errors import CapacityError, DimensionError, ParseError
+from qckit.errors import (CapacityError, DimensionError, ParseError,
+                          _parse_int, _records)
 from qckit.state import (
     _CHUNK,
     StateVector,
@@ -248,28 +249,20 @@ def min_deterministic_queries_dj(n_inputs: int) -> int:
 
 
 def parse_oracle(text: str, name: str = "") -> Oracle:
-    """Parse the oracle file format: `inputs N` then a 2^N bitstring."""
-    lines = [
-        (i + 1, ln.strip())
-        for i, ln in enumerate(text.splitlines())
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if len(lines) < 2:
-        raise ParseError(len(text.splitlines()) or 1, "expected 2 lines")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "inputs":
-        raise ParseError(lineno, f"expected 'inputs N', got {header!r}")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(lineno, f"bad input count {parts[1]!r}") from None
-    lineno, bits = lines[1]
-    table = np.frombuffer(bits.encode(), np.uint8) - ord("0")
-    if len(table) != 2 ** n or not np.all(table <= 1):
-        raise ParseError(
-            lineno, f"expected a bitstring of length {2 ** n}"
-        )
+    """Parse the oracle file format: `inputs N`, N in [1,
+    MAX_ORACLE_INPUTS], then a 2^N bitstring, and nothing after it."""
+    records = _records(text)
+    lineno, toks = next(records, (1, []))
+    if toks[:1] != ["inputs"] or len(toks) != 2:
+        raise ParseError(lineno,
+                         f"expected 'inputs N', got {' '.join(toks)!r}")
+    n = _parse_int(toks[1], lineno, 1, MAX_ORACLE_INPUTS)
+    lineno, bits = next(records, (lineno, []))
+    table = np.frombuffer("".join(bits).encode(), np.uint8) - ord("0")
+    if len(bits) != 1 or len(table) != 2 ** n or not np.all(table <= 1):
+        raise ParseError(lineno, f"expected a bitstring of length {2 ** n}")
+    for lineno, _ in records:
+        raise ParseError(lineno, "unexpected text after the bitstring")
     return Oracle(n, table, name=name)
 
 

@@ -34,6 +34,8 @@ from qckit.errors import (
     ParseError,
     StateError,
     WellFormednessError,
+    _parse_float,
+    _records,
     at_line,
 )
 from qckit.oracle import Oracle, QueryCounter, _xor_permute
@@ -387,55 +389,33 @@ def parse_qtm(text: str) -> QTMDef:
         alphabet _ 0 1
         q sym -> q' sym' L|R re im
     """
-    states = header = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if states is None:
-            parts = [p.strip() for p in line.split(";")]
-            if len(parts) != 3:
-                raise ParseError(
-                    lineno, "expected 'states ... ; initial q ; final q'"
-                )
-            s_toks = parts[0].split()
-            i_toks = parts[1].split()
-            f_toks = parts[2].split()
-            if (
-                len(s_toks) < 2 or s_toks[0] != "states"
-                or len(i_toks) != 2 or i_toks[0] != "initial"
-                or len(f_toks) != 2 or f_toks[0] != "final"
-            ):
-                raise ParseError(lineno, "malformed states header")
-            states, initial, final = s_toks[1:], i_toks[1], f_toks[1]
-            with at_line(lineno):  # the header alone, with no alphabet
-                QTMDef(states, [], initial, final, {})
-            continue
-        if header is None:
-            toks = line.split()
-            if toks[0] != "alphabet" or len(toks) < 2:
-                raise ParseError(lineno, "expected 'alphabet <blank> ...'")
-            with at_line(lineno):
-                # each transition below joins it once its line is checked
-                header = QTMDef(states, toks[1:], initial, final, {})
-            continue
-        toks = line.split()
+    records = _records(text)
+    lineno, toks = next(records, (1, []))
+    parts = [p.split() for p in " ".join(toks).split(";")]
+    if ([p[:1] for p in parts] != [["states"], ["initial"], ["final"]]
+            or [len(p) for p in parts[1:]] != [2, 2] or len(parts[0]) < 2):
+        raise ParseError(lineno, "expected 'states ... ; initial q ; final q'")
+    states, initial, final = parts[0][1:], parts[1][1], parts[2][1]
+    with at_line(lineno):  # the header alone, with no alphabet
+        QTMDef(states, [], initial, final, {})
+    lineno, toks = next(records, (lineno, []))
+    if toks[:1] != ["alphabet"] or len(toks) < 2:
+        raise ParseError(lineno, "expected 'alphabet <blank> ...'")
+    with at_line(lineno):
+        # each transition below joins it once its line is checked
+        machine = QTMDef(states, toks[1:], initial, final, {})
+    for lineno, toks in records:
         if len(toks) != 8 or toks[2] != "->":
             raise ParseError(
                 lineno, "expected 'q sym -> q' sym' L|R re im'"
             )
         q, sym, _, q2, sym2, direction, re_s, im_s = toks
-        try:
-            amp = complex(float(re_s), float(im_s))
-        except ValueError:
-            raise ParseError(lineno, "bad amplitude") from None
+        amp = complex(_parse_float(re_s, lineno), _parse_float(im_s, lineno))
         tr = Transition(q2, sym2, direction, amp)
         with at_line(lineno):
-            header.check_transition(q, sym, tr)
-        header.transitions.setdefault((q, sym), []).append(tr)
-    if header is None:
-        raise ParseError(1, "missing states or alphabet header")
-    return header
+            machine.check_transition(q, sym, tr)
+        machine.transitions.setdefault((q, sym), []).append(tr)
+    return machine
 
 
 def load_qtm(path: str) -> QTMDef:

@@ -345,6 +345,31 @@ class TestParser:
             assert e.line >= 1
 
 
+class TestCircuitText:
+    """`qubits N` is checked against [1, MAX_QUBITS], and a `unitary`
+    line's targets before they size its core."""
+
+    @pytest.mark.parametrize("count", ["0", "25", "20000"])
+    def test_qubit_count_out_of_range_names_header(self, count):
+        with pytest.raises(ParseError) as exc:
+            parse_circuit(f"# wide\nqubits {count}\n")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("targets, message", [
+        (range(8000), "target 24 out of range for 24 qubits"),
+        ([t % 24 for t in range(8000)], "duplicate targets"),
+    ], ids=["out-of-range", "duplicate"])
+    def test_unitary_targets_checked_before_they_size_the_core(
+        self, targets, message
+    ):
+        text = ("qubits 24\nh 0\nunitary 0 "
+                + " ".join(map(str, targets)) + " : 1 0\n")
+        with pytest.raises(ParseError) as exc:
+            parse_circuit(text)
+        assert exc.value.line == 3
+        assert exc.value.message.startswith(message)
+
+
 class TestCheckedOnce:
     """Each gate's qubits are checked by `state._check_targets` where the
     gate enters, and a named gate is resolved when its GateApp is built."""

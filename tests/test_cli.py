@@ -406,6 +406,24 @@ class TestInputBoundary:
         assert message in err
 
 
+class TestCountsCheckedFirst:
+    """A count in an input file is checked before it sizes anything, so
+    a huge one is one `error: line N:` line, not a traceback."""
+
+    @pytest.mark.parametrize("command, text, line", [
+        ("dj", "inputs 20000\n0\n", 1),
+        ("run", "qubits 30\nh 0\n", 1),
+        ("run", "qubits 24\nunitary 0 "
+         + " ".join(map(str, range(8000))) + " : 1 0\n", 2),
+    ], ids=["oracle-inputs", "qubits", "unitary-targets"])
+    def test_one_error_line(self, tmp_path, capsys, command, text, line):
+        path = tmp_path / "input"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, str(path))
+        assert_one_error(code, err, line=line)
+        assert out == ""
+
+
 def _command_argv(tmp_path, command):
     """Arguments of a successful call of each subcommand."""
     circuit = tmp_path / "bell.circuit"

@@ -28,7 +28,7 @@ KINDS = {
 TOKENS = [b"0", b"1", b"2", b"7", b"12", b"-1", b"99", b"0.5", b"nan",
           b"1e400", b"h", b"cx", b"mcx", b"phase", b"oracle", b"unitary",
           b"qubits", b"inputs", b"states", b"alphabet", b":", b"(", b")",
-          b"->", b"L", b"R", b"q0", b"q9", b";", b"#", b"\xe9"]
+          b"->", b"L", b"R", b"q0", b"q9", b";", b"#", b"\xe9", b"20000"]
 MAX_FUZZ_QUBITS = 12
 
 

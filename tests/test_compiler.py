@@ -125,8 +125,10 @@ def factor_lists(draw):
 
 
 def assert_no_adjacent_x_pair(ops):
+    """No two neighbouring `x`, `cx` or `mcx` gates are equal: they cancel."""
     for a, b in zip(ops, ops[1:]):
-        assert not (a.name == b.name == "x" and a.targets == b.targets), a
+        assert not (a.name == b.name and a.name in ("x", "cx", "mcx")
+                    and a.targets == b.targets), a
 
 
 class TestLowering:
@@ -151,8 +153,8 @@ class TestLowering:
     # the compiler's quality figure: a rise in any count is a regression
     @pytest.mark.parametrize("machine,cells,counts", [
         (coin_machine(), 2, {"x": 12, "mcx": 4, "unitary": 8}),
-        (coin_machine(), 3, {"x": 62, "mcx": 40, "unitary": 28}),
-        (coin_machine(), 4, {"x": 170, "mcx": 96, "unitary": 80}),
+        (coin_machine(), 3, {"x": 62, "mcx": 32, "unitary": 28}),
+        (coin_machine(), 4, {"x": 170, "mcx": 80, "unitary": 80}),
         (move_right_machine(), 2, {"x": 6, "unitary": 4}),
         (move_right_machine(), 3, {"x": 30, "mcx": 16, "unitary": 16}),
     ])

@@ -294,6 +294,35 @@ class TestTableBoundary:
         assert parse_oracle(serialize_oracle(o), name="f") == o
 
 
+class TestOracleText:
+    """`inputs N` is checked against [1, MAX_ORACLE_INPUTS] before it sizes
+    the table, and a file is one header and one bitstring, each of which
+    may end in a comment."""
+
+    @pytest.mark.parametrize("count", ["20000", "21", "0", "-1"])
+    def test_input_count_out_of_range_names_header(self, count):
+        with pytest.raises(ParseError) as exc:
+            parse_oracle(f"inputs {count}\n0\n")
+        assert exc.value.line == 1
+
+    def test_inline_comments(self):
+        o = parse_oracle("inputs 2  # two\n0110  # table\n")
+        assert o == Oracle(2, (0, 1, 1, 0))
+
+    @pytest.mark.parametrize("text, line", [
+        ("inputs 1\n01\n11\n", 3),
+        ("# f\n\ninputs 1\n01\n\nx  # trailing\n", 6),
+        ("inputs 1\n01 1\n", 2),
+        ("inputs 1\n# no table\n", 1),
+        ("", 1),
+    ], ids=["second-bitstring", "trailing-token", "split-bitstring",
+            "no-bitstring", "empty"])
+    def test_one_header_and_one_bitstring(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_oracle(text)
+        assert exc.value.line == line
+
+
 class TestSharedTargetCheck:
     @pytest.mark.parametrize("x_targets, b_target", [([0], 0), ([0], 2)])
     def test_apply_oracle_uses_the_shared_check(self, x_targets, b_target):

@@ -288,6 +288,40 @@ q0 0 -> q0 1 R 0.7071067811865476 0
             )
 
 
+class TestQTMText:
+    """The machine text shares the circuit and oracle texts' line rules."""
+
+    PLAIN = ("states a b ; initial a ; final a\nalphabet _ 1\n"
+             "a _ -> b 1 R 1 0\na 1 -> a 1 L 1 0\n"
+             "b _ -> a _ L 1 0\nb 1 -> b _ R 1 0\n")
+
+    def test_comments_and_blank_lines(self):
+        lines = self.PLAIN.splitlines()
+        text = "# machine\n\n" + "".join(
+            f"{line}  # {i}\n\n" for i, line in enumerate(lines))
+        assert parse_qtm(text) == parse_qtm(self.PLAIN)
+
+    def test_header_without_spaces_around_semicolons(self):
+        text = self.PLAIN.replace(" ; ", ";")
+        assert parse_qtm(text) == parse_qtm(self.PLAIN)
+
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),
+        ("states a ; initial a\nalphabet _\n", 1),
+        (" ; initial a ; final a\nalphabet _\n", 1),
+        ("states a ; initial a ; final a\n# none\n", 1),
+        ("states a ; initial a ; final a\nalphabet _\n"
+         "a _ -> a _ R nan 0\n", 3),
+        ("states a ; initial a ; final a\nalphabet _\n\n"
+         "a _ -> a _ R 1 one\n", 4),
+    ], ids=["empty", "two-parts", "no-states", "no-alphabet",
+            "nan-amplitude", "bad-amplitude"])
+    def test_errors_name_their_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_qtm(text)
+        assert exc.value.line == line
+
+
 class _LoopSpace:
     """Configuration enumeration by integer arithmetic, one configuration
     at a time: the reference the array-index ConfigSpace must match."""
