@@ -22,7 +22,7 @@ import numpy as np
 from qckit.errors import (CapacityError, DimensionError, ParseError,
                           _parse_int, _records)
 from qckit.state import (
-    _CHUNK,
+    _BLOCK,
     StateVector,
     _check_targets,
     _out_buffer,
@@ -112,17 +112,18 @@ def _xor_permute(table: bytes, amps: np.ndarray, x_axes: list[int],
     amps[..x.., b XOR table[x]], for x's bits (most significant first) on
     x_axes and b on b_axis: the two b halves swap where I(x) = 1.
 
-    The array is cut into rows of its trailing axes, about _CHUNK
-    amplitudes each, so every pass over a row stays in cache. The x bits on
-    the leading axes select a part of the table, and the rows that share it
-    share one gather index (b inside a row), taken into a row-sized scratch
-    and copied back, or one 1-D mask of where a row swaps with the row of
-    the other b value (b outside), through the same scratch. Rows whose part
-    of the table is all 0 are left as they are.
+    The array is cut into rows of its trailing axes, about _BLOCK
+    amplitudes each (the gate kernel's piece size), so every pass over a
+    row stays in cache. The x bits on the leading axes select a part of
+    the table, and the rows that share it share one gather index (b inside
+    a row), taken into a row-sized scratch and copied back, or one 1-D
+    mask of where a row swaps with the row of the other b value (b
+    outside), through the same scratch. Rows whose part of the table is
+    all 0 are left as they are.
     """
     shape = amps.shape
     split = len(shape) - 1
-    while split and math.prod(shape[split - 1:]) <= _CHUNK:
+    while split and math.prod(shape[split - 1:]) <= _BLOCK:
         split -= 1
     # x's value as a part per row plus a part per position in a row
     high = np.zeros(shape[:split], np.intp)

@@ -11,11 +11,11 @@ share memory with the state, and the input state is not modified.
 Each gate takes one of four forms, and each form is one `compute` closure
 over a region of the state. `_region` gives the form's qubits an axis of 2
 and holds the slice where every control is 1; a control that leaves runs
-shorter than the form's run length is computed over. `_update` writes the
-region into a separate `out` by one `compute` call (apply_unitary copies
-the rest from the state), or in place, one piece of about _SCRATCH
-amplitudes at a time through one scratch array, copying back only where
-every computed-over control is 1.
+shorter than the form's run length is computed over, and its bit lies in
+the region's last axis. `_update` writes the region into a separate `out`
+by one `compute` call (apply_unitary copies the rest from the state), or
+in place, one piece of about _BLOCK amplitudes at a time through one
+scratch array, copying back only where every computed-over control is 1.
 
 - A core with one nonzero per row and column, each 1, -1, i or -i (x, y,
   z, s, swap, cx, ccx, mcx and permutation `unitary` cores), is moved
@@ -26,7 +26,7 @@ every computed-over control is 1.
   amplitudes between the halves of each pair, it is u @ (2, R) blocks for
   R >= _RUN_MIN, else rows of width = max(2R, 4) times
   kron(I_{width/2R}, kron(u, I_R)).T, as u @ (2, R) makes one BLAS call
-  per 2R amplitudes.
+  per 2R amplitudes. The rows are cut from the region's last axis.
 - Multi-target cores, and slices of fewer than 4 columns beside the
   targets, are a tensordot over the target axes, restricted by every
   control.
@@ -37,7 +37,7 @@ A move's products are exact and, on 4 or more columns, accumulate from
 BLAS build.
 
 Finiteness is checked where amplitudes enter: the StateVector constructor
-rejects non-finite amplitudes, scanning _CHUNK amplitudes at a time, kernel
+rejects non-finite amplitudes, scanning _BLOCK amplitudes at a time, kernel
 results and the basis states this module writes skip that scan,
 `simulate` checks the state it returns once, and the norm check run before
 every measurement rejects a NaN or infinite norm.
@@ -66,9 +66,8 @@ GATE_NORM_TOL = 1e-6  # precondition gating (accumulated float error)
 _RUN_MIN = 64       # contiguous amplitudes a move, a column GEMM or a
                     # restricting control leaves; shorter runs lose to a
                     # GEMM over rows
-_CHUNK = 2 ** 14    # amplitudes per in-cache block of a two-pass update
-_SCRATCH = 2 ** 15  # amplitudes per piece a gate updates in place through
-                    # its scratch array
+_BLOCK = 2 ** 15    # amplitudes per in-cache block: a piece a gate updates
+                    # in place, a two-pass update's block, a scan's chunk
 
 
 @dataclass
@@ -103,10 +102,10 @@ class StateVector:
 
 
 def _check_finite(amps: np.ndarray) -> None:
-    """Raise StateError unless every amplitude is finite, scanning _CHUNK
+    """Raise StateError unless every amplitude is finite, scanning _BLOCK
     amplitudes at a time, so no state-sized mask is made."""
-    for lo in range(0, len(amps), _CHUNK):
-        if not np.isfinite(amps[lo:lo + _CHUNK]).all():
+    for lo in range(0, len(amps), _BLOCK):
+        if not np.isfinite(amps[lo:lo + _BLOCK]).all():
             raise StateError("amplitudes must be finite")
 
 
@@ -201,18 +200,9 @@ _UNITS = {1, -1, 1j, -1j}
 def _signed_permutation(u: np.ndarray) -> list[tuple[int, complex]] | None:
     """(source index, factor) for each output index of a core with one
     nonzero per row and column, each 1, -1, i or -i; None for any other
-    core. A 2x2 core costs a few comparisons, a larger one usually stops
-    at its first row."""
-    rows = u.tolist()
-    if len(rows) == 2:
-        (a, b), (c, d) = rows
-        if b == c == 0 and a in _UNITS and d in _UNITS:
-            return [(0, a), (1, d)]
-        if a == d == 0 and b in _UNITS and c in _UNITS:
-            return [(1, b), (0, c)]
-        return None
+    core, which usually stops the scan at its first row."""
     moves = []
-    for row in rows:
+    for row in u.tolist():
         entries = [(j, v) for j, v in enumerate(row) if v]
         if len(entries) != 1 or entries[0][1] not in _UNITS:
             return None
@@ -228,30 +218,33 @@ def _signed_copy(src, dst, factor) -> None:
     elif factor == -1:
         np.subtract(0.0, src, out=dst)
     else:  # a product exact but for the sign of a zero, fixed while cached
-        for piece in _pieces(src.shape):
+        for piece in _pieces(src.shape, _BLOCK):
             np.multiply(src[piece], factor, out=dst[piece])
             np.add(dst[piece], 0.0, out=dst[piece])
 
 
-def _pieces(shape, size=_CHUNK):
+def _pieces(shape, size, whole=()):
     """Index tuples, one slice per axis, that cut an array of this shape
-    into blocks of about `size` elements: a range of one axis, under single
-    indices of the axes before it, with the axes after it whole."""
-    axis = 0
-    while math.prod(shape[axis + 1:]) > size:
-        axis += 1
-    step = max(1, size // math.prod(shape[axis + 1:]))
-    tail = (slice(None),) * (len(shape) - axis - 1)
-    for head in itertools.product(*map(range, shape[:axis])):
-        for lo in range(0, shape[axis], step):
-            yield (tuple(slice(i, i + 1) for i in head)
-                   + (slice(lo, lo + step),) + tail)
+    into pieces of at most `size` elements of the axes not in `whole`
+    (exactly `size` when it and every length are powers of 2 and those
+    axes hold that many), with the axes in `whole` entire: a range of one
+    of the other axes, under single indices of those before it and with
+    those after it entire."""
+    steps, kept = list(shape), 1
+    for axis in reversed(range(len(shape))):
+        if axis not in whole:
+            steps[axis] = min(shape[axis], max(1, size // kept))
+            kept *= steps[axis]
+    ranges = [range(0, length, step) for length, step in zip(shape, steps)]
+    for starts in itertools.product(*ranges):
+        yield tuple(slice(lo, lo + step) for lo, step in zip(starts, steps))
 
 
 def _put_back(piece, new, bits) -> None:
-    """piece = new where the index along piece's last axis, which counts
-    amplitudes of the state's index from a multiple of that axis' length,
-    has every bit in `bits` set."""
+    """piece = new where the index along piece's last axis has every bit
+    in `bits` set. That axis is a range of the region's last axis, whose
+    amplitudes are contiguous in the state, starting at a multiple of the
+    range's length, so it counts the state's index from that multiple."""
     if not bits:
         piece[...] = new
         return
@@ -265,20 +258,13 @@ def _put_back(piece, new, bits) -> None:
     piece.reshape(shape)[index] = new.reshape(shape)[index]
 
 
-def _with_whole(index, whole, ndim):
-    """`index`, an index tuple over the other axes, with the axes in
-    `whole` entire."""
-    index = iter(index)
-    return tuple(slice(None) if ax in whole else next(index)
-                 for ax in range(ndim))
-
-
 def _region(src, dst, n, qubits, controls, run):
     """Reshape views of src and of dst (None stays None) that give each of
     `qubits` an axis of 2 and hold the slice where every control that
     leaves runs of at least `run` amplitudes is 1; with the axes of
     `qubits`, in their order, and the mask of the other controls' bits,
-    which a gate computes over."""
+    which a gate computes over. Every form's qubits leave runs of at least
+    `run` amplitudes, so those bits index the region's last axis."""
     fixed = [c for c in controls if 2 ** (n - 1 - c) >= run]
     marks = sorted(qubits + fixed)
     shape = _split(n, marks)
@@ -295,43 +281,31 @@ def _region(src, dst, n, qubits, controls, run):
     return src, dst, axes, bits
 
 
-def _update(region, out, whole, bits, compute, tail=1) -> None:
+def _update(region, out, whole, bits, compute) -> None:
     """Write the new amplitudes of `region`, a view of the state, into
     `out`, a view of another array, by one compute(region, out) call; or,
-    when out is None, into the region itself, one piece of about _SCRATCH
-    amplitudes at a time. A piece keeps the axes in `whole` entire and at
-    least 4 amplitudes of the others, so no piece has fewer than 2 free
-    qubits beside the targets. compute(piece, new) writes the piece's new
-    amplitudes into a scratch array; they are copied back where every bit
-    in `bits` of the region's trailing index (its last `tail` axes, which
-    hold those bits) is set, and a piece where some such bit is 0 is
-    skipped."""
+    when out is None, into the region itself, one piece of about _BLOCK
+    amplitudes at a time. A piece keeps the axes in `whole` entire and
+    holds at least _RUN_MIN amplitudes of the others (all of them, when
+    there are fewer), so it leaves a tensordot 4 or more columns and
+    never splits a row of the kron form. compute(piece, new) writes the
+    piece's new amplitudes into a scratch array; they are copied back
+    where every bit in `bits` of the region's last axis is set, and a
+    piece where some such bit is 0 is skipped."""
     if out is not None:
         compute(region, out)
         return
     kept = math.prod(region.shape[ax] for ax in whole)
-    if region.size <= max(_SCRATCH, 4 * kept):
-        indices = [(slice(None),) * region.ndim]
-    else:
-        rest = [size for ax, size in enumerate(region.shape)
-                if ax not in whole]
-        indices = (_with_whole(index, whole, region.ndim)
-                   for index in _pieces(rest, max(_SCRATCH // kept, 4)))
-    stride = math.prod(region.shape[region.ndim - tail + 1:])
     scratch = None
-    for index in indices:
+    for index in _pieces(region.shape, max(_BLOCK // kept, _RUN_MIN), whole):
         piece = region[index]
-        width = math.prod(piece.shape[piece.ndim - tail:])
-        lo = (index[-tail].start or 0) * stride
-        if lo & bits & -width != bits & -width:
+        width = piece.shape[-1]
+        if index[-1].start & bits & -width != bits & -width:
             continue
         if scratch is None:
             scratch = np.empty(piece.size, dtype=np.complex128)
         new = scratch[:piece.size].reshape(piece.shape)
         compute(piece, new)
-        if tail > 1:  # the trailing axes are one run of the index
-            piece = piece.reshape(piece.shape[:-tail] + (width,))
-            new = new.reshape(piece.shape)
         _put_back(piece, new, bits & (width - 1))
 
 
@@ -372,7 +346,7 @@ def _gemm_one_target(u, src, dst, n, t, controls) -> None:
     if r >= _RUN_MIN:
         region, out, (axis,), bits = _region(src, dst, n, [t], controls,
                                              _RUN_MIN)
-        whole, tail = [axis], 1
+        whole = [axis]
 
         def compute(piece, new):
             # u times the (2, R) blocks of the target axis and the columns
@@ -385,16 +359,16 @@ def _gemm_one_target(u, src, dst, n, t, controls) -> None:
         # (np.kron's own checks cost more than the product here)
         block = (np.eye(a * r).reshape(a, 1, r, a, 1, r)
                  * u.reshape(1, 2, 1, 1, 2, 1)).reshape(width, width).T
-        # a row starts at qubit min(t, n - 2), which gets an axis of 2, so
-        # a row is the region's last two axes
-        region, out, _, bits = _region(src, dst, n, [min(t, n - 2)],
-                                       controls, _RUN_MIN * width)
-        whole, tail = [region.ndim - 2, region.ndim - 1], 3
+        # the region's last axis, a run of a multiple of `width`
+        # amplitudes, holds every row and every computed-over control
+        region, out, _, bits = _region(src, dst, n, [], controls,
+                                       _RUN_MIN * width)
+        whole = []
 
         def compute(piece, new):
-            rows = piece.shape[:-2] + (width,)
+            rows = piece.shape[:-1] + (-1, width)
             np.matmul(piece.reshape(rows), block, out=new.reshape(rows))
-    _update(region, out, whole, bits, compute, tail)
+    _update(region, out, whole, bits, compute)
 
 
 def _contract(u, src, dst, n, targets, controls) -> None:
@@ -499,14 +473,14 @@ def _born_probabilities(state: StateVector) -> np.ndarray:
     own buffer, which the call consumes, so it allocates no new array."""
     amps = state.amps
     weights = amps.view(np.float64)[:len(amps)]
-    # floats [lo, lo + _CHUNK) held amplitudes lo/2 to (lo + _CHUNK)/2,
+    # floats [lo, lo + _BLOCK) held amplitudes lo/2 to (lo + _BLOCK)/2,
     # which earlier chunks have read, except in the first chunk
-    for lo in range(0, len(amps), _CHUNK):
-        chunk = weights[lo:lo + _CHUNK]
+    for lo in range(0, len(amps), _BLOCK):
+        chunk = weights[lo:lo + _BLOCK]
         if lo:
-            np.abs(amps[lo:lo + _CHUNK], out=chunk)
+            np.abs(amps[lo:lo + _BLOCK], out=chunk)
         else:
-            chunk[:] = np.abs(amps[:_CHUNK])
+            chunk[:] = np.abs(amps[:_BLOCK])
         np.square(chunk, out=chunk)
     total = weights.sum()
     _check_norm(float(np.sqrt(total)))

@@ -464,7 +464,7 @@ def _gate_by_gate(n, ops, oracles, amps):
 
 class TestOneBuffer:
     """`simulate` updates one buffer in place from _ONE_BUFFER_QUBITS on,
-    through scratch pieces of _SCRATCH amplitudes, and gives the bits of
+    through scratch pieces of _BLOCK amplitudes, and gives the bits of
     the two-buffer path and of the gate-by-gate references."""
 
     @given(_in_place_circuits(), st.sampled_from([2 ** 4, 2 ** 5, 2 ** 6]),
@@ -476,9 +476,9 @@ class TestOneBuffer:
         # a run threshold of 4 restricts more controls and moves more cores
         n, ops, oracles, amps = case
         before = amps.copy()
-        with mock.patch.multiple(qckit.state, _SCRATCH=scratch,
+        with mock.patch.multiple(qckit.state, _BLOCK=scratch,
                                  _RUN_MIN=run_min), \
-                mock.patch.object(qckit.oracle, "_CHUNK", scratch), \
+                mock.patch.object(qckit.oracle, "_BLOCK", scratch), \
                 mock.patch.object(qckit.circuit, "_ONE_BUFFER_QUBITS",
                                   1 if in_place else 64):
             got = simulate(Circuit(n, ops), StateVector(n, amps), oracles)

@@ -131,7 +131,7 @@ class TestRunReadout:
             path = tmp_path / f"c{trial}.circuit"
             path.write_text(text)
             shots, seed = int(rng.integers(0, 3000)), int(rng.integers(2 ** 32))
-            chunked = (mock.patch.object(qckit.state, "_CHUNK", chunk)
+            chunked = (mock.patch.object(qckit.state, "_BLOCK", chunk)
                        if chunk else contextlib.nullcontext())
             with chunked:
                 code, out, _ = run_cli(

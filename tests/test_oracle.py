@@ -191,7 +191,7 @@ class TestApplyOracleExact:
         psi = random_state(n, rng)
         psi[rng.random(2 ** n) < 0.2] *= -0.0
         before = psi.copy()
-        with mock.patch.object(qckit.oracle, "_CHUNK", chunk):
+        with mock.patch.object(qckit.oracle, "_BLOCK", chunk):
             got = apply_oracle(StateVector(n, psi), Oracle(n_inputs, table),
                                x_targets, b_target).amps
         want = _permuted(before, n, table, x_targets, b_target)

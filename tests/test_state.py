@@ -1,9 +1,10 @@
 import contextlib
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qckit.state
 
@@ -179,7 +180,7 @@ class TestKernelBitExact:
         out = np.full_like(amps, np.nan) if use_out else None
         # short runs put more controls on the restricted path and turn
         # more 1-target cores into the column GEMM; TestInPlace reaches the
-        # in-place pieces through _SCRATCH
+        # in-place pieces through _BLOCK
         runs = (mock.patch.multiple(qckit.state, _RUN_MIN=4)
                 if short_runs else contextlib.nullcontext())
         with runs:
@@ -273,7 +274,7 @@ class TestMoveForm:
         before = amps.copy()
         out = np.full_like(amps, np.nan) if use_out else None
         # small chunks cut the blocks multiplied by i or -i into pieces
-        with mock.patch.multiple(qckit.state, _RUN_MIN=run_min, _CHUNK=chunk):
+        with mock.patch.multiple(qckit.state, _RUN_MIN=run_min, _BLOCK=chunk):
             with mock.patch.object(qckit.state, "_move",
                                    wraps=qckit.state._move) as move:
                 got = apply_unitary(StateVector(n, amps), core, targets,
@@ -311,19 +312,85 @@ class TestMoveForm:
         assert not move.called
         assert _same_bits(got.amps, _tensordot_reference(psi, core, 8, [0]))
 
+    def test_signed_copy_takes_the_block_size(self, rng):
+        # a (4, 64) block times i, cut into pieces of 2 amplitudes, gets
+        # the bits of one multiply and one add of +0 over the whole block
+        src = (rng.normal(size=(4, 2, 64))
+               + 1j * rng.normal(size=(4, 2, 64)))[:, 1]
+        src.real[rng.random((4, 64)) < 0.3] = 0.0
+        src.imag[rng.random((4, 64)) < 0.3] = -0.0
+        want = np.multiply(src, 1j)
+        np.add(want, 0.0, out=want)
+        dst = np.full((4, 64), np.nan, dtype=complex)
+        cuts, pieces = [], qckit.state._pieces
+
+        def recorded(*args):
+            cuts.append(list(pieces(*args)))
+            return cuts[-1]
+
+        with mock.patch.multiple(qckit.state, _BLOCK=2, _pieces=recorded):
+            qckit.state._signed_copy(src, dst, 1j)
+        assert len(cuts) == 1 and len(cuts[0]) > 1
+        assert _same_bits(dst, want)
+
+
+class TestPieces:
+    """`_pieces` cuts an array into pieces that cover every index once,
+    keep the `whole` axes entire and hold at most `size` elements of the
+    other axes; exactly `size` when it and every length are powers of 2,
+    which the in-place update's floor of _RUN_MIN amplitudes relies on."""
+
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           st.integers(1, 80), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_cover_every_index_once(self, shape, size, data):
+        whole = data.draw(st.sets(st.integers(0, len(shape) - 1)))
+        seen = np.zeros(shape, dtype=int)
+        for index in qckit.state._pieces(shape, size, whole):
+            assert len(index) == len(shape)
+            piece = seen[index]
+            piece += 1
+            assert all(piece.shape[ax] == shape[ax] for ax in whole)
+            assert math.prod(length for ax, length in enumerate(piece.shape)
+                             if ax not in whole) <= size
+        assert (seen == 1).all()
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=4),
+           st.integers(0, 8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_powers_of_two_fill_each_piece(self, log_shape, log_size, data):
+        array = np.empty([2 ** b for b in log_shape])
+        whole = data.draw(st.sets(st.integers(0, array.ndim - 1)))
+        kept = math.prod(array.shape[ax] for ax in whole)
+        size = min(2 ** log_size, array.size // kept)
+        for index in qckit.state._pieces(array.shape, 2 ** log_size, whole):
+            assert array[index].size == size * kept
+
+
+def _dense_gate(n, targets, controls, seed):
+    """(n, amps, core, targets, controls) for a random dense core."""
+    rng = np.random.default_rng(seed)
+    return (n, random_state(n, rng), random_unitary(2 ** len(targets), rng),
+            targets, controls)
+
 
 class TestInPlace:
     """out=state.amps updates the state in place, one scratch piece of
-    _SCRATCH amplitudes at a time, and gives the bits of a separate out
+    _BLOCK amplitudes at a time, and gives the bits of a separate out
     and of the tensordot reference."""
 
     @given(st.one_of(_gates(), _moves()),
            st.sampled_from([2 ** 4, 2 ** 6, 2 ** 15]),
            st.sampled_from([4, 64]))
+    # blocks of 16 amplitudes, below the _RUN_MIN floor of 64 that every
+    # piece holds: kron rows of 4 on qubit n-1, and of 32 on qubit n-5
+    # with one control inside the row and one just before it
+    @example(_dense_gate(8, [7], [], 1), 2 ** 4, 64)
+    @example(_dense_gate(10, [5], [7, 4], 2), 2 ** 4, 64)
     @settings(max_examples=300, deadline=None)
     def test_matches_out_of_place(self, gate, scratch, run_min):
         n, amps, core, targets, controls = gate
-        with mock.patch.multiple(qckit.state, _SCRATCH=scratch,
+        with mock.patch.multiple(qckit.state, _BLOCK=scratch,
                                  _RUN_MIN=run_min):
             want = apply_unitary(StateVector(n, amps), core, targets,
                                  controls).amps
