@@ -64,7 +64,7 @@ def qft_circuit(n_qubits: int) -> Circuit:
             ops.append(GateApp(NAMED, (k, i), name="cphase", param=angle))
     for i in range(n_qubits // 2):
         ops.append(GateApp(NAMED, (i, n_qubits - 1 - i), name="swap"))
-    return Circuit(n_qubits, ops, name=f"qft{n_qubits}")
+    return Circuit(n_qubits, ops)
 
 
 def inverse_qft_circuit(n_qubits: int) -> Circuit:
@@ -74,7 +74,7 @@ def inverse_qft_circuit(n_qubits: int) -> Circuit:
     for op in reversed(fwd.ops):
         param = -op.param if op.param is not None else None
         ops.append(GateApp(NAMED, op.targets, name=op.name, param=param))
-    return Circuit(n_qubits, ops, name=f"iqft{n_qubits}")
+    return Circuit(n_qubits, ops)
 
 
 def deutsch_jozsa(oracle: Oracle) -> DJVerdict:
@@ -90,7 +90,7 @@ def deutsch_jozsa(oracle: Oracle) -> DJVerdict:
     ops += [GateApp(NAMED, (q,), name="h") for q in range(n + 1)]
     ops.append(GateApp(ORACLE, tuple(range(n + 1)), name=oracle.name or "f"))
     ops += [GateApp(NAMED, (q,), name="h") for q in range(n)]
-    circuit = Circuit(n + 1, ops, name="deutsch_jozsa")
+    circuit = Circuit(n + 1, ops)
 
     counter = QueryCounter()
     final = simulate(
@@ -153,7 +153,7 @@ def order_finding(
             )
         )
     ops += inverse_qft_circuit(t).ops
-    circuit = Circuit(total, ops, name="order_finding")
+    circuit = Circuit(total, ops)
 
     final = simulate(circuit, init)
     # marginal distribution of the precision register

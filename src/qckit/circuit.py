@@ -117,7 +117,6 @@ class Circuit:
 
     n_qubits: int
     ops: list[GateApp] = field(default_factory=list)
-    name: str = ""
 
     def __post_init__(self):
         for op in self.ops:

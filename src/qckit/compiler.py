@@ -202,17 +202,17 @@ def two_level_to_gates(factor: TwoLevelFactor, n_qubits: int) -> list[GateApp]:
 
 
 def factor_list_to_circuit(
-    factors: list[TwoLevelFactor], n_qubits: int, name: str = ""
+    factors: list[TwoLevelFactor], n_qubits: int
 ) -> Circuit:
     """Circuit applying the ordered factor product: the state sees the
     last factor first, so the gate stream reverses the list. One X frame
     runs across all factors."""
     ops = [op for f in reversed(factors) for op in _pattern_ops(f, n_qubits)]
-    return Circuit(n_qubits, _lower(ops, n_qubits), name=name)
+    return Circuit(n_qubits, _lower(ops, n_qubits))
 
 
 def compile_unitary(
-    u: np.ndarray, tol: float = 1e-8, name: str = ""
+    u: np.ndarray, tol: float = 1e-8
 ) -> tuple[Circuit, CompilationReport]:
     """Compile a power-of-two unitary into a circuit and verify it."""
     if not (np.isfinite(tol) and tol > 0):
@@ -220,7 +220,7 @@ def compile_unitary(
     dim = u.shape[0]
     n_qubits = int(np.log2(dim))
     factors = decompose_two_level(u, tol=min(tol, 1e-9))
-    circuit = factor_list_to_circuit(factors, n_qubits, name=name)
+    circuit = factor_list_to_circuit(factors, n_qubits)
     achieved = float(np.max(np.abs(circuit_unitary(circuit) - u)))
     if achieved >= tol:
         raise QckitError(
@@ -272,6 +272,6 @@ def compile_qtm_step(
         )
     m = step_operator(qtm, tape_cells)
     padded = pad_to_power_of_two(m)
-    circuit, report = compile_unitary(padded, tol=tol, name="qtm_step")
+    circuit, report = compile_unitary(padded, tol=tol)
     report.source_dim = m.shape[0]
     return circuit, report

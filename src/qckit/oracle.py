@@ -19,15 +19,10 @@ from itertools import combinations
 
 import numpy as np
 
+import qckit.state
 from qckit.errors import (CapacityError, DimensionError, ParseError,
                           _parse_int, _records)
-from qckit.state import (
-    _BLOCK,
-    StateVector,
-    _check_targets,
-    _out_buffer,
-    _unchecked,
-)
+from qckit.state import StateVector, _check_targets, _out_buffer, _unchecked
 
 MAX_ORACLE_INPUTS = 20
 MAX_EXPLICIT_QUBITS = 12  # cap for materializing the gate matrix
@@ -123,7 +118,7 @@ def _xor_permute(table: bytes, amps: np.ndarray, x_axes: list[int],
     """
     shape = amps.shape
     split = len(shape) - 1
-    while split and math.prod(shape[split - 1:]) <= _BLOCK:
+    while split and math.prod(shape[split - 1:]) <= qckit.state._BLOCK:
         split -= 1
     # x's value as a part per row plus a part per position in a row
     high = np.zeros(shape[:split], np.intp)
@@ -238,11 +233,6 @@ def min_deterministic_queries_dj(n_inputs: int) -> int:
                 solve(frozenset(split[0])), solve(frozenset(split[1]))
             )
             best = min(best, cost)
-        if best > size:
-            # every remaining query is uninformative yet classes differ:
-            # must still pay one query (cannot happen under the promise,
-            # but keeps the recursion total)
-            best = 1
         memo[alive] = best
         return best
 

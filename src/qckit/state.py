@@ -8,14 +8,15 @@ holds one state-sized buffer. Otherwise it writes the result into `out`,
 a new array when None, else a contiguous complex128 buffer that may not
 share memory with the state, and the input state is not modified.
 
-Each gate takes one of four forms, and each form is one `compute` closure
-over a region of the state. `_region` gives the form's qubits an axis of 2
-and holds the slice where every control is 1; a control that leaves runs
-shorter than the form's run length is computed over, and its bit lies in
-the region's last axis. `_update` writes the region into a separate `out`
-by one `compute` call (apply_unitary copies the rest from the state), or
-in place, one piece of about _BLOCK amplitudes at a time through one
-scratch array, copying back only where every computed-over control is 1.
+Each gate takes one of four forms, and `apply_unitary` picks it: one
+`_layout` call, which touches no array, plus one `compute` closure from the
+form's builder. The layout gives the form's qubits an axis of 2 and holds
+the slice where every control is 1; a control that leaves runs shorter
+than the form's run length is computed over, and its bit lies in the
+region's last axis. Into a separate `out` the region is one `compute` call
+and the rest is copied from the state. In place, `_update` runs it one
+piece of about _BLOCK amplitudes at a time through one scratch array,
+copying back only where every computed-over control is 1.
 
 - A core with one nonzero per row and column, each 1, -1, i or -i (x, y,
   z, s, swap, cx, ccx, mcx and permutation `unitary` cores), is moved
@@ -60,7 +61,6 @@ from qckit.errors import CapacityError, DimensionError, StateError
 
 MAX_QUBITS = 24  # ~256 MiB per complex128 state
 
-NORM_TOL = 1e-9       # algebraic identities
 GATE_NORM_TOL = 1e-6  # precondition gating (accumulated float error)
 
 _RUN_MIN = 64       # contiguous amplitudes a move, a column GEMM or a
@@ -258,10 +258,11 @@ def _put_back(piece, new, bits) -> None:
     piece.reshape(shape)[index] = new.reshape(shape)[index]
 
 
-def _region(src, dst, n, qubits, controls, run):
-    """Reshape views of src and of dst (None stays None) that give each of
-    `qubits` an axis of 2 and hold the slice where every control that
-    leaves runs of at least `run` amplitudes is 1; with the axes of
+def _layout(n, qubits, controls, run):
+    """Shape and index of a region of an n-qubit state: reshaped to
+    `shape`, then indexed by `index`, the state gives each of `qubits` an
+    axis of 2 and holds the slice where every control that leaves runs of
+    at least `run` amplitudes is 1. Also returns the region's axes of
     `qubits`, in their order, and the mask of the other controls' bits,
     which a gate computes over. Every form's qubits leave runs of at least
     `run` amplitudes, so those bits index the region's last axis."""
@@ -271,30 +272,22 @@ def _region(src, dst, n, qubits, controls, run):
     index = [slice(None)] * len(shape)
     for c in fixed:
         index[2 * marks.index(c) + 1] = 1
-    index = tuple(index)
-    src = src.reshape(shape)[index]
-    if dst is not None:
-        dst = dst.reshape(shape)[index]
     axes = [2 * marks.index(q) + 1 - sum(c < q for c in fixed)
             for q in qubits]
     bits = sum(1 << (n - 1 - int(c)) for c in controls if c not in fixed)
-    return src, dst, axes, bits
+    return shape, tuple(index), axes, bits
 
 
-def _update(region, out, whole, bits, compute) -> None:
-    """Write the new amplitudes of `region`, a view of the state, into
-    `out`, a view of another array, by one compute(region, out) call; or,
-    when out is None, into the region itself, one piece of about _BLOCK
-    amplitudes at a time. A piece keeps the axes in `whole` entire and
-    holds at least _RUN_MIN amplitudes of the others (all of them, when
-    there are fewer), so it leaves a tensordot 4 or more columns and
-    never splits a row of the kron form. compute(piece, new) writes the
-    piece's new amplitudes into a scratch array; they are copied back
-    where every bit in `bits` of the region's last axis is set, and a
-    piece where some such bit is 0 is skipped."""
-    if out is not None:
-        compute(region, out)
-        return
+def _update(region, whole, bits, compute) -> None:
+    """Write the new amplitudes of `region`, a view of the state, into the
+    region itself, one piece of about _BLOCK amplitudes at a time. A piece
+    keeps the axes in `whole` entire and holds at least _RUN_MIN
+    amplitudes of the others (all of them, when there are fewer), so it
+    leaves a tensordot 4 or more columns and never splits a row of the
+    kron form. compute(piece, new) writes the piece's new amplitudes into
+    a scratch array; they are copied back where every bit in `bits` of the
+    region's last axis is set, and a piece where some such bit is 0 is
+    skipped."""
     kept = math.prod(region.shape[ax] for ax in whole)
     scratch = None
     for index in _pieces(region.shape, max(_BLOCK // kept, _RUN_MIN), whole):
@@ -309,16 +302,14 @@ def _update(region, out, whole, bits, compute) -> None:
         _put_back(piece, new, bits & (width - 1))
 
 
-def _move(moves, src, dst, n, targets, controls) -> None:
-    """Apply the signed permutation `moves` of the target axes, writing
-    into dst (src itself, in place, when dst is None): each output block
-    is one `_signed_copy` of a source block."""
-    region, out, axes, bits = _region(src, dst, n, targets, controls,
-                                      _RUN_MIN)
-    k = len(targets)
+def _move(moves, axes):
+    """compute(piece, new) for the signed permutation `moves` of the
+    target axes `axes`: each output block is one `_signed_copy` of a
+    source block."""
+    k = len(axes)
     blocks = []  # the index of each target block
     for i in range(2 ** k):
-        index = [slice(None)] * region.ndim
+        index = [slice(None)] * (max(axes) + 1)
         for pos, ax in enumerate(axes):
             index[ax] = i >> (k - 1 - pos) & 1
         blocks.append(tuple(index))
@@ -327,59 +318,45 @@ def _move(moves, src, dst, n, targets, controls) -> None:
         for i, (j, factor) in enumerate(moves):
             _signed_copy(piece[blocks[j]], new[blocks[i]], factor)
 
-    _update(region, out, axes, bits, compute)
+    return compute
 
 
-def _gemm_one_target(u, src, dst, n, t, controls) -> None:
-    """Apply u to qubit t as matrix products on reshape views, writing
-    into dst (src itself, in place, when dst is None).
+def _columns(u, axis):
+    """compute(piece, new) for a 1-target core u on `axis`: u times the
+    (2, R) blocks of that axis and the columns after it."""
 
-    R = 2**(n-1-t) amplitudes separate the two halves of each pair. For
-    R >= _RUN_MIN the product is u @ (2, R) blocks. For the last qubits
-    it is rows of width = max(2R, 4) amplitudes times
-    kron(I_a, kron(u, I_R)).T with a = width/2R: one BLAS call for all
-    rows, where u @ (2, R) would make one per 2R amplitudes. A control
-    restricts the region when at least _RUN_MIN contiguous columns or rows
-    remain.
-    """
-    r = 2 ** (n - 1 - t)
-    if r >= _RUN_MIN:
-        region, out, (axis,), bits = _region(src, dst, n, [t], controls,
-                                             _RUN_MIN)
-        whole = [axis]
+    def compute(piece, new):
+        np.matmul(u, piece, out=new, axes=[(0, 1), (axis, -1), (axis, -1)])
 
-        def compute(piece, new):
-            # u times the (2, R) blocks of the target axis and the columns
-            np.matmul(u, piece, out=new,
-                      axes=[(0, 1), (axis, -1), (axis, -1)])
-    else:
-        width = max(2 * r, 4)
-        a = width // (2 * r)
-        # kron(I_a, kron(u, I_R)) by one broadcast product, entry for entry
-        # (np.kron's own checks cost more than the product here)
-        block = (np.eye(a * r).reshape(a, 1, r, a, 1, r)
-                 * u.reshape(1, 2, 1, 1, 2, 1)).reshape(width, width).T
-        # the region's last axis, a run of a multiple of `width`
-        # amplitudes, holds every row and every computed-over control
-        region, out, _, bits = _region(src, dst, n, [], controls,
-                                       _RUN_MIN * width)
-        whole = []
-
-        def compute(piece, new):
-            rows = piece.shape[:-1] + (-1, width)
-            np.matmul(piece.reshape(rows), block, out=new.reshape(rows))
-    _update(region, out, whole, bits, compute)
+    return compute
 
 
-def _contract(u, src, dst, n, targets, controls) -> None:
-    """Apply u to `targets` by a tensordot over the target axes, writing
-    into dst (src itself, in place, when dst is None). Every control
-    restricts the region, since the slice's width can change the
-    tensordot's rounding."""
-    region, out, axes, _ = _region(src, dst, n, targets, controls, 1)
-    k = len(targets)
+def _kron_rows(u, r):
+    """compute(piece, new) for a 1-target core u whose pairs lie r < _RUN_MIN
+    amplitudes apart: rows of width = max(2r, 4) amplitudes, cut from the
+    piece's last axis, times kron(I_a, kron(u, I_r)).T with a = width/2r.
+    That is one BLAS call for all rows, where u @ (2, r) would make one per
+    2r amplitudes."""
+    width = max(2 * r, 4)
+    a = width // (2 * r)
+    # kron(I_a, kron(u, I_r)) by one broadcast product, entry for entry
+    # (np.kron's own checks cost more than the product here)
+    block = (np.eye(a * r).reshape(a, 1, r, a, 1, r)
+             * u.reshape(1, 2, 1, 1, 2, 1)).reshape(width, width).T
+
+    def compute(piece, new):
+        rows = piece.shape[:-1] + (-1, width)
+        np.matmul(piece.reshape(rows), block, out=new.reshape(rows))
+
+    return compute
+
+
+def _contract(u, axes, ndim):
+    """compute(piece, new) for u on the target axes `axes` of an
+    ndim-axis region: a tensordot over those axes."""
+    k = len(axes)
     u_tensor = u.reshape([2] * (2 * k))
-    rest = [ax for ax in range(region.ndim) if ax not in axes]
+    rest = [ax for ax in range(ndim) if ax not in axes]
     order = np.argsort(axes + rest)
 
     def compute(piece, new):
@@ -387,7 +364,7 @@ def _contract(u, src, dst, n, targets, controls) -> None:
         new[...] = np.tensordot(u_tensor, piece, (list(range(k, 2 * k)),
                                                   axes)).transpose(order)
 
-    _update(region, out, axes, 0, compute)
+    return compute
 
 
 def _copy_outside_slice(src, dst, n, controls) -> None:
@@ -436,17 +413,32 @@ def apply_unitary(
     # differently, the signs of its zeros included, so slices of fewer
     # than 4 columns keep the tensordot
     wide = n - len(controls) - k >= 2
-    moves = (_signed_permutation(u)
-             if wide and 2 ** (n - 1 - max(targets)) >= _RUN_MIN else None)
-    dst = None if out is state.amps else out
+    # amplitudes between the halves of each pair of the last target
+    r = 2 ** (n - 1 - max(targets)) if wide else 0
+    moves = _signed_permutation(u) if r >= _RUN_MIN else None
     if moves is not None:
-        _move(moves, state.amps, dst, n, targets, controls)
+        shape, index, axes, bits = _layout(n, targets, controls, _RUN_MIN)
+        whole, compute = axes, _move(moves, axes)
+    elif k == 1 and r >= _RUN_MIN:
+        shape, index, axes, bits = _layout(n, targets, controls, _RUN_MIN)
+        whole, compute = axes, _columns(u, axes[0])
     elif k == 1 and wide:
-        _gemm_one_target(u, state.amps, dst, n, targets[0], controls)
+        # the region's last axis, a run of a multiple of the row width,
+        # holds every row and every computed-over control
+        shape, index, _, bits = _layout(n, [], controls,
+                                        _RUN_MIN * max(2 * r, 4))
+        whole, compute = [], _kron_rows(u, r)
     else:
-        _contract(u, state.amps, dst, n, targets, controls)
-    if dst is not None:
-        _copy_outside_slice(state.amps, dst, n, controls)
+        # every control restricts the region, and is indexed away, since
+        # the slice's width can change the tensordot's rounding
+        shape, index, axes, bits = _layout(n, targets, controls, 1)
+        whole, compute = axes, _contract(u, axes, len(shape) - len(controls))
+    region = state.amps.reshape(shape)[index]
+    if out is state.amps:
+        _update(region, whole, bits, compute)
+    else:
+        compute(region, out.reshape(shape)[index])
+        _copy_outside_slice(state.amps, out, n, controls)
     return _unchecked(n, out)
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qckit.circuit
-import qckit.oracle
 import qckit.state
 from qckit.circuit import (
     Circuit,
@@ -323,8 +322,10 @@ class TestParser:
         u = random_unitary(2, rng)
         c = Circuit(
             3,
-            [GateApp(UNITARY, (0, 1, 2), matrix=u, n_controls=2)],
+            [GateApp(UNITARY, (0, 1, 2), matrix=u, n_controls=2),
+             GateApp(ORACLE, (0, 1, 2), name="f")],
         )
+        assert serialize_circuit(c).endswith("\noracle f 0 1 2\n")
         assert parse_circuit(serialize_circuit(c)) == c
 
     @given(st.text(max_size=200))
@@ -478,7 +479,6 @@ class TestOneBuffer:
         before = amps.copy()
         with mock.patch.multiple(qckit.state, _BLOCK=scratch,
                                  _RUN_MIN=run_min), \
-                mock.patch.object(qckit.oracle, "_BLOCK", scratch), \
                 mock.patch.object(qckit.circuit, "_ONE_BUFFER_QUBITS",
                                   1 if in_place else 64):
             got = simulate(Circuit(n, ops), StateVector(n, amps), oracles)

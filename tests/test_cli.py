@@ -19,6 +19,13 @@ alphabet 0 1
 q0 0 -> q0 0 R 1 0
 q0 1 -> q0 1 R 1 0
 """
+COIN = """states q0 ; initial q0 ; final q0
+alphabet 0 1
+q0 0 -> q0 0 R 0.7071067811865476 0
+q0 0 -> q0 1 R 0.7071067811865476 0
+q0 1 -> q0 0 R 0.7071067811865476 0
+q0 1 -> q0 1 R -0.7071067811865476 0
+"""
 BROKEN = """states q0 ; initial q0 ; final q0
 alphabet 0 1
 q0 0 -> q0 0 R 1 0
@@ -380,6 +387,33 @@ class TestInputBoundary:
         code, _, err = run_cli(capsys, command, str(path))
         assert_one_error(code, err)
         assert "utf-8" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("unitary 0 0 1 0 0 0 0 1 0", "needs ':' separator"),
+        ("unitary : 1 0", "needs controls count and targets"),
+        ("unitary 1 0 : 1 0 0 0 0 0 1 0", "bad control count 1"),
+        ("unitary 0 0 : 1 0 0 0", "expected 8 matrix entries, got 4"),
+        ("oracle f 0", "needs a name, inputs and an ancilla"),
+    ], ids=["no-separator", "nothing-before-separator", "controls",
+            "entries", "oracle-too-short"])
+    def test_malformed_gate_line_names_line(self, tmp_path, capsys, line,
+                                            message):
+        path = tmp_path / "c.circuit"
+        path.write_text(f"qubits 2\n{line}\n")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert_one_error(code, err, line=2)
+        assert message in err
+        assert out == ""
+
+    def test_compile_over_decompose_cap(self, tmp_path, capsys):
+        # 6 head positions times 2**6 tapes: 384 configurations
+        path = tmp_path / "coin.qtm"
+        path.write_text(COIN)
+        code, _, err = run_cli(capsys, "compile", str(path),
+                               "--tape-cells", "6",
+                               "-o", str(tmp_path / "coin.circuit"))
+        assert_one_error(code, err)
+        assert err == "error: configuration count 384 exceeds 256\n"
 
     @pytest.mark.parametrize("text, line, message", [
         (MOVE_RIGHT.replace("R 1 0\nq0 1", "R 1 0\nq0 1 -> q9 1 R 1 0\nq0 1"),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qckit.oracle
+import qckit.state
 
 from qckit.circuit import Circuit, GateApp, ORACLE, simulate
 from qckit.errors import CapacityError, DimensionError, ParseError
@@ -191,7 +192,7 @@ class TestApplyOracleExact:
         psi = random_state(n, rng)
         psi[rng.random(2 ** n) < 0.2] *= -0.0
         before = psi.copy()
-        with mock.patch.object(qckit.oracle, "_BLOCK", chunk):
+        with mock.patch.object(qckit.state, "_BLOCK", chunk):
             got = apply_oracle(StateVector(n, psi), Oracle(n_inputs, table),
                                x_targets, b_target).amps
         want = _permuted(before, n, table, x_targets, b_target)
@@ -278,6 +279,11 @@ class TestTableBoundary:
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionError, match="length"):
             Oracle(2, (0, 1, 1))
+
+    @pytest.mark.parametrize("n", [0, 21])
+    def test_input_count_out_of_range(self, n):
+        with pytest.raises(CapacityError, match="n_inputs"):
+            Oracle(n, (0, 1))
 
     @pytest.mark.parametrize("char", ["2", " ", "é"])
     def test_bad_bitstring_character_names_line(self, char):

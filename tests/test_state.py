@@ -69,6 +69,21 @@ class TestApplyUnitary:
         with pytest.raises(DimensionError):
             apply_unitary(new_zero_state(2), np.eye(4), [0, 0])
 
+    def test_non_finite_core(self):
+        u = np.eye(2, dtype=complex)
+        u[1, 0] = np.nan
+        with pytest.raises(StateError, match="finite"):
+            apply_unitary(new_zero_state(2), u, [0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_amplitude_rejected(self, value):
+        with pytest.raises(StateError, match="finite"):
+            StateVector(1, [1.0, value])
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DimensionError, match="expected 4 amplitudes"):
+            StateVector(2, [1.0, 0.0])
+
     def test_matches_embedded_matrix(self, rng):
         # cross-check the strided kernel against the explicit kron embedding
         u = random_unitary(2, rng)
@@ -372,6 +387,52 @@ def _dense_gate(n, targets, controls, seed):
     rng = np.random.default_rng(seed)
     return (n, random_state(n, rng), random_unitary(2 ** len(targets), rng),
             targets, controls)
+
+
+def _core(name, rng):
+    """A named gate's core, or a random dense 2-target core ("dense2") or
+    4-target permutation core ("perm4")."""
+    if name == "dense2":
+        return random_unitary(4, rng)
+    if name == "perm4":
+        return _signed_permutation_core(rng, 4, False)
+    return standard_gate_matrix(name)
+
+
+class TestFormTable:
+    """Each gate runs the form that the kernel's table names for it.
+    Every form gives the tensordot's bits, so a gate sent to the wrong
+    form would pass every bit test and show only as time."""
+
+    BUILDERS = ("_move", "_columns", "_kron_rows", "_contract")
+
+    @pytest.mark.parametrize("n, core, targets, controls, form", [
+        (10, "h", [0], [], "_columns"),
+        (10, "h", [0], [9], "_columns"),  # control 9 is computed over
+        (10, "h", [4], [], "_kron_rows"),
+        (10, "h", [9], [], "_kron_rows"),
+        (10, "x", [9], [], "_kron_rows"),
+        (10, "x", [0], [], "_move"),
+        (10, "swap", [0, 1], [], "_move"),
+        (10, "dense2", [0, 1], [], "_contract"),
+        (10, "perm4", [6, 7, 8, 9], [], "_contract"),
+        (8, "x", [0], [2, 3, 4, 5, 6, 7], "_contract"),  # narrow slice
+    ])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_form(self, n, core, targets, controls, form, in_place, rng):
+        u = _core(core, rng)
+        psi = random_state(n, rng)
+        state = StateVector(n, psi.copy())
+        with contextlib.ExitStack() as stack:
+            builders = {
+                name: stack.enter_context(mock.patch.object(
+                    qckit.state, name, wraps=getattr(qckit.state, name)))
+                for name in self.BUILDERS}
+            got = apply_unitary(state, u, targets, controls,
+                                out=state.amps if in_place else None)
+        assert [name for name, b in builders.items() if b.called] == [form]
+        assert _same_bits(got.amps, _tensordot_reference(psi, u, n, targets,
+                                                         controls))
 
 
 class TestInPlace:
