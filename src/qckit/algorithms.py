@@ -44,36 +44,46 @@ class BoundedErrorVerdict:
     frequency: float              # empirical acceptance frequency
 
 
-def qft_circuit(n_qubits: int) -> Circuit:
-    """Circuit for F[j,k] = exp(2*pi*i*j*k / 2^n) / sqrt(2^n).
-
-    Hadamards and controlled phases in the textbook cascade (qubit 0 is
-    the most significant bit of j), then swaps reverse the qubit order.
-    """
+def _check_qft_width(n_qubits: int) -> None:
     if n_qubits < 1:
         raise DimensionError(f"qft needs at least 1 qubit, got {n_qubits}")
     if n_qubits > MAX_QFT_QUBITS:
         raise CapacityError(
             f"qft capped at {MAX_QFT_QUBITS} qubits, got {n_qubits}"
         )
+
+
+def _cphase(k: int, i: int, sign: float) -> GateApp:
+    """The cascade's controlled phase of qubit i by qubit k > i, its angle
+    2*pi / 2^(k-i+1) times `sign`."""
+    return GateApp(NAMED, (k, i), name="cphase",
+                   param=sign * (2.0 * np.pi / 2 ** (k - i + 1)))
+
+
+def qft_circuit(n_qubits: int) -> Circuit:
+    """Circuit for F[j,k] = exp(2*pi*i*j*k / 2^n) / sqrt(2^n).
+
+    Hadamards and controlled phases in the textbook cascade (qubit 0 is
+    the most significant bit of j), then swaps reverse the qubit order.
+    """
+    _check_qft_width(n_qubits)
     ops: list[GateApp] = []
     for i in range(n_qubits):
         ops.append(GateApp(NAMED, (i,), name="h"))
-        for k in range(i + 1, n_qubits):
-            angle = 2.0 * np.pi / 2 ** (k - i + 1)
-            ops.append(GateApp(NAMED, (k, i), name="cphase", param=angle))
+        ops += [_cphase(k, i, 1.0) for k in range(i + 1, n_qubits)]
     for i in range(n_qubits // 2):
         ops.append(GateApp(NAMED, (i, n_qubits - 1 - i), name="swap"))
     return Circuit(n_qubits, ops)
 
 
 def inverse_qft_circuit(n_qubits: int) -> Circuit:
-    """Exact inverse of qft_circuit: reversed gates, negated angles."""
-    fwd = qft_circuit(n_qubits)
-    ops = []
-    for op in reversed(fwd.ops):
-        param = -op.param if op.param is not None else None
-        ops.append(GateApp(NAMED, op.targets, name=op.name, param=param))
+    """Exact inverse of qft_circuit: its gates reversed, angles negated."""
+    _check_qft_width(n_qubits)
+    ops = [GateApp(NAMED, (i, n_qubits - 1 - i), name="swap")
+           for i in reversed(range(n_qubits // 2))]
+    for i in reversed(range(n_qubits)):
+        ops += [_cphase(k, i, -1.0) for k in reversed(range(i + 1, n_qubits))]
+        ops.append(GateApp(NAMED, (i,), name="h"))
     return Circuit(n_qubits, ops)
 
 

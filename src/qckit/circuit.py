@@ -15,7 +15,8 @@ exists so compiled circuits, which use multi-controlled single-qubit
 primitives, serialize losslessly.
 
 Every gate but an oracle is simulated as its core matrix on the slice of
-the state where its controls, the leading targets, are all 1.
+the state where its controls, the leading targets, are all 1; `simulate`
+applies each run of gates whose core is diag(1, p) as one multiply.
 `state._check_targets` is the one check of a gate's qubits: `Circuit` runs
 it on each op, and `parse_circuit` first on each line, to name the line;
 a `unitary` line's targets are checked before they size its core. A
@@ -47,6 +48,7 @@ from qckit.state import (
     MAX_QUBITS,
     StateVector,
     _check_targets,
+    _multiply_phases,
     _unchecked,
     apply_unitary,
     new_zero_state,
@@ -128,6 +130,16 @@ class Circuit:
         return self.n_qubits == other.n_qubits and self.ops == other.ops
 
 
+def _phase(op: GateApp) -> complex | None:
+    """p for a gate whose core is diag(1, p), under any controls; None for
+    any other gate."""
+    m = op.matrix
+    if m is None or m.shape != (2, 2):
+        return None
+    one, upper, lower, p = m.ravel().tolist()
+    return p if one == 1 and upper == 0 and lower == 0 else None
+
+
 def simulate(
     circuit: Circuit,
     initial: StateVector | None = None,
@@ -138,13 +150,16 @@ def simulate(
 
     Oracle gates are resolved through `oracle_table` and applied via the
     strided kernel, incrementing `counter.quantum_queries` once each.
-    The state is a copy of `initial` or a new zero state. Every oracle
-    permutes it in place (`out` is the state's own array), and so does
-    every gate from _ONE_BUFFER_QUBITS qubits on, so a wide simulation
-    holds one state-sized buffer. On a narrower state a gate writes its
-    result into a second buffer, and the two alternate: while both are
-    small, that is cheaper than the in-place kernel's copy of each piece
-    it computes. Only the returned state is checked for finiteness.
+    The state is a copy of `initial` or a new zero state. Each run of
+    consecutive gates whose core is diag(1, p), under any controls, is one
+    in-place multiply by the run's phase table (`state._multiply_phases`),
+    and every oracle permutes the state in place (`out` is its own array).
+    Every other gate goes through `apply_unitary`: in place too from
+    _ONE_BUFFER_QUBITS qubits on, so a wide simulation holds one
+    state-sized buffer. On a narrower state such a gate writes its result
+    into a second buffer, and the two alternate: while both are small,
+    that is cheaper than the in-place kernel's copy of each piece it
+    computes. Only the returned state is checked for finiteness.
     """
     if initial is None:
         state = new_zero_state(circuit.n_qubits)
@@ -157,7 +172,15 @@ def simulate(
         state = _unchecked(initial.n_qubits, initial.amps.copy())
     spare = (None if circuit.n_qubits >= _ONE_BUFFER_QUBITS
              else np.empty_like(state.amps))
+    phases = []  # the diagonal run not yet applied, as (qubits, p)
     for op in circuit.ops:
+        p = _phase(op)
+        if p is not None:
+            phases.append((op.targets, p))
+            continue
+        if phases:
+            _multiply_phases(state.amps, state.n_qubits, phases)
+            phases = []
         if op.kind == ORACLE:
             oracle = (oracle_table or {}).get(op.name)
             if oracle is None:
@@ -175,6 +198,8 @@ def simulate(
                             out=state.amps if spare is None else spare)
         if spare is not None:
             spare, state = state.amps, new
+    if phases:
+        _multiply_phases(state.amps, state.n_qubits, phases)
     return StateVector(state.n_qubits, state.amps)
 
 

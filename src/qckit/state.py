@@ -8,34 +8,45 @@ holds one state-sized buffer. Otherwise it writes the result into `out`,
 a new array when None, else a contiguous complex128 buffer that may not
 share memory with the state, and the input state is not modified.
 
-Each gate takes one of four forms, and `apply_unitary` picks it: one
-`_layout` call, which touches no array, plus one `compute` closure from the
-form's builder. The layout gives the form's qubits an axis of 2 and holds
-the slice where every control is 1; a control that leaves runs shorter
-than the form's run length is computed over, and its bit lies in the
-region's last axis. Into a separate `out` the region is one `compute` call
-and the rest is copied from the state. In place, `_update` runs it one
-piece of about _BLOCK amplitudes at a time through one scratch array,
-copying back only where every computed-over control is 1.
+Each gate takes one of five forms, which `_step` picks: one `_layout` call,
+which touches no array, plus one `compute` closure from the form's builder.
+`_step` is a pure function of (n, targets, controls, core bytes), and
+`apply_unitary`, after its checks, takes the step from a cache of _STEPS
+steps for cores of up to _STEP_DIM rows. The layout gives the form's
+qubits an axis of 2 and holds the slice where every control is 1; a
+control that leaves runs shorter than the form's run length is computed
+over, and its bit lies in the region's last axis. Into a separate `out`
+the region is one `compute` call and the rest is copied from the state.
+In place, `_update` runs it one piece of about _BLOCK amplitudes at a time
+through one scratch array, copying back only where every computed-over
+control is 1.
 
 - A core with one nonzero per row and column, each 1, -1, i or -i (x, y,
   z, s, swap, cx, ccx, mcx and permutation `unitary` cores), is moved
   when its last target leaves runs of at least _RUN_MIN amplitudes: each
   output block is one copy, or one multiply by -1, i or -i, of a source
   block.
+- A permutation core, every nonzero 1, on 2 or more targets whose last
+  one leaves shorter runs is gathered when the rows that start at its
+  first target hold at most _BLOCK amplitudes: one np.take of each row.
 - Any other 1-target core is a BLAS product. With R = 2**(n-1-t)
   amplitudes between the halves of each pair, it is u @ (2, R) blocks for
   R >= _RUN_MIN, else rows of width = max(2R, 4) times
   kron(I_{width/2R}, kron(u, I_R)).T, as u @ (2, R) makes one BLAS call
   per 2R amplitudes. The rows are cut from the region's last axis.
-- Multi-target cores, and slices of fewer than 4 columns beside the
+- Other multi-target cores, and slices of fewer than 4 columns beside the
   targets, are a tensordot over the target axes, restricted by every
   control.
 
 Every form gives the same bits as that tensordot, which the tests check.
 A move's products are exact and, on 4 or more columns, accumulate from
-+0, so a move writes every zero as +0 and its bits do not depend on the
-BLAS build.
++0, so a move or a gather writes every zero as +0 and its bits do not
+depend on the BLAS build.
+
+`_multiply_phases`, which `circuit.simulate` calls for each run of gates
+whose core is diag(1, p), is no such form: it multiplies the run's slice
+of the state in place by one phase table, without BLAS, and rounds
+differently from those gates' GEMMs.
 
 Finiteness is checked where amplitudes enter: the StateVector constructor
 rejects non-finite amplitudes, scanning _BLOCK amplitudes at a time, kernel
@@ -50,6 +61,7 @@ left bit is qubit 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,7 +79,14 @@ _RUN_MIN = 64       # contiguous amplitudes a move, a column GEMM or a
                     # restricting control leaves; shorter runs lose to a
                     # GEMM over rows
 _BLOCK = 2 ** 15    # amplitudes per in-cache block: a piece a gate updates
-                    # in place, a two-pass update's block, a scan's chunk
+                    # in place, a two-pass update's block, a scan's chunk,
+                    # the longest row a gather permutes
+_TABLE = 2 ** 10    # entries of a diagonal run's phase table; a longer run
+                    # is split
+_STEP_DIM = 32      # cores of up to this dimension (5 targets) have their
+                    # step cached
+_STEPS = 512        # steps the cache holds; one pass of perfbench's
+                    # algo-mix builds 272
 
 
 @dataclass
@@ -379,6 +398,82 @@ def _copy_outside_slice(src, dst, n, controls) -> None:
         index[2 * i + 1] = 1
 
 
+def _gather(moves, targets, n):
+    """compute(piece, new) for a permutation core, every factor 1, on
+    `targets` of an n-qubit state: rows of width = 2**(n - min target)
+    amplitudes, cut from the piece's last axis, each one np.take by one
+    source index, then an add of +0, which writes every zero as +0 as a
+    move does."""
+    width = 2 ** (n - min(targets))
+    k = len(targets)
+    shifts = [n - 1 - t for t in targets]  # each target's bit in a row
+    x = np.arange(width)
+    sub = sum((x >> s & 1) << (k - 1 - p) for p, s in enumerate(shifts))
+    src_sub = np.array([j for j, _ in moves])[sub]
+    src = x & ~sum(1 << s for s in shifts)
+    for p, s in enumerate(shifts):
+        src |= (src_sub >> (k - 1 - p) & 1) << s
+
+    def compute(piece, new):
+        rows = piece.shape[:-1] + (-1, width)
+        new = new.reshape(rows)
+        np.take(piece.reshape(rows), src, axis=-1, out=new, mode="clip")
+        np.add(new, 0.0, out=new)
+
+    return compute
+
+
+@functools.lru_cache(maxsize=_STEPS)
+def _step(n, targets, controls, core):
+    """The step of a gate, (shape, index, whole, bits, compute): its
+    form's `_layout` and `compute` closure, for the core whose C-order
+    complex128 bytes are `core`, on `targets` under the sorted `controls`
+    of an n-qubit state. Pure, so `apply_unitary` caches it for cores of
+    up to _STEP_DIM rows. The forms read _RUN_MIN and _BLOCK when the step
+    is built.
+
+    Worst-case memory: a step holds its key's core bytes (16 * _STEP_DIM**2
+    = 16 KiB), which its core array views, plus at most one of a kron
+    block (64 x 64 amplitudes, 64 KiB) and a gather's index (_BLOCK int64,
+    256 KiB), and tuples and closures of under 8 KiB: under 280 KiB a
+    step, so under 140 MiB for _STEPS steps."""
+    k = len(targets)
+    u = np.frombuffer(core, dtype=np.complex128).reshape(2 ** k, 2 ** k)
+    targets = list(targets)
+    # the tensordot rounds a slice of 2 columns beside the targets
+    # differently, the signs of its zeros included, so slices of fewer
+    # than 4 columns keep the tensordot
+    wide = n - len(controls) - k >= 2
+    # amplitudes between the halves of each pair of the last target
+    r = 2 ** (n - 1 - max(targets)) if wide else 0
+    # amplitudes of a row that holds every target, from the first one on
+    row = 2 ** (n - min(targets))
+    moves = (_signed_permutation(u)
+             if r >= _RUN_MIN or k > 1 and wide and row <= _BLOCK else None)
+    if moves is not None and r >= _RUN_MIN:
+        shape, index, axes, bits = _layout(n, targets, controls, _RUN_MIN)
+        whole, compute = axes, _move(moves, axes)
+    elif k == 1 and r >= _RUN_MIN:
+        shape, index, axes, bits = _layout(n, targets, controls, _RUN_MIN)
+        whole, compute = axes, _columns(u, axes[0])
+    elif k == 1 and wide:
+        # the region's last axis, a run of a multiple of the row width,
+        # holds every row and every computed-over control
+        shape, index, _, bits = _layout(n, [], controls,
+                                        _RUN_MIN * max(2 * r, 4))
+        whole, compute = [], _kron_rows(u, r)
+    elif moves is not None and all(f == 1 for _, f in moves):
+        # as for kron rows, with rows of `row` amplitudes
+        shape, index, _, bits = _layout(n, [], controls, _RUN_MIN * row)
+        whole, compute = [], _gather(moves, targets, n)
+    else:
+        # every control restricts the region, and is indexed away, since
+        # the slice's width can change the tensordot's rounding
+        shape, index, axes, bits = _layout(n, targets, controls, 1)
+        whole, compute = axes, _contract(u, axes, len(shape) - len(controls))
+    return shape, index, whole, bits, compute
+
+
 def apply_unitary(
     state: StateVector,
     u: np.ndarray,
@@ -397,10 +492,12 @@ def apply_unitary(
     it. The result is not rescanned for finiteness.
     """
     u = np.asarray(u, dtype=np.complex128)
-    targets = list(targets)
+    targets = tuple(targets)
     k = len(targets)
     n = state.n_qubits
-    _check_targets(n, targets + list(controls))
+    if not k:
+        raise DimensionError("a gate needs at least one target")
+    _check_targets(n, targets + tuple(controls))
     if u.shape != (2 ** k, 2 ** k):
         raise DimensionError(
             f"matrix shape {u.shape} does not match {k} targets"
@@ -408,31 +505,10 @@ def apply_unitary(
     if not np.all(np.isfinite(u)):
         raise StateError("unitary entries must be finite")
     out = _out_buffer(state, out)
-    controls = sorted(controls)
-    # the tensordot rounds a slice of 2 columns beside the targets
-    # differently, the signs of its zeros included, so slices of fewer
-    # than 4 columns keep the tensordot
-    wide = n - len(controls) - k >= 2
-    # amplitudes between the halves of each pair of the last target
-    r = 2 ** (n - 1 - max(targets)) if wide else 0
-    moves = _signed_permutation(u) if r >= _RUN_MIN else None
-    if moves is not None:
-        shape, index, axes, bits = _layout(n, targets, controls, _RUN_MIN)
-        whole, compute = axes, _move(moves, axes)
-    elif k == 1 and r >= _RUN_MIN:
-        shape, index, axes, bits = _layout(n, targets, controls, _RUN_MIN)
-        whole, compute = axes, _columns(u, axes[0])
-    elif k == 1 and wide:
-        # the region's last axis, a run of a multiple of the row width,
-        # holds every row and every computed-over control
-        shape, index, _, bits = _layout(n, [], controls,
-                                        _RUN_MIN * max(2 * r, 4))
-        whole, compute = [], _kron_rows(u, r)
-    else:
-        # every control restricts the region, and is indexed away, since
-        # the slice's width can change the tensordot's rounding
-        shape, index, axes, bits = _layout(n, targets, controls, 1)
-        whole, compute = axes, _contract(u, axes, len(shape) - len(controls))
+    controls = tuple(sorted(controls))
+    build = _step if len(u) <= _STEP_DIM else _step.__wrapped__
+    shape, index, whole, bits, compute = build(n, targets, controls,
+                                               u.tobytes())
     region = state.amps.reshape(shape)[index]
     if out is state.amps:
         _update(region, whole, bits, compute)
@@ -440,6 +516,51 @@ def apply_unitary(
         compute(region, out.reshape(shape)[index])
         _copy_outside_slice(state.amps, out, n, controls)
     return _unchecked(n, out)
+
+
+def _multiply_phases(amps, n, factors) -> None:
+    """Multiply the n-qubit amplitudes `amps` in place by the diagonal of
+    a run of gates whose cores are diag(1, p), each given as (qubits, p):
+    p multiplies every amplitude whose bits at `qubits`, the gate's
+    controls and target, are all 1. The run is cut into groups, in order,
+    each one multiply by a phase table over the qubits some of its gates
+    need: a qubit on which all of a group's gates need a 1 is indexed away,
+    and a group ends before its table would outgrow _TABLE entries. A
+    table's entries are the products of their gates' phases in run order.
+    No BLAS is called and no array of the state's size is made."""
+    group, common, union = [], set(), set()
+    for qubits, p in factors:
+        need = set(qubits)
+        if group and 2 ** len((union | need) - (common & need)) > _TABLE:
+            _multiply_group(amps, n, group, common, union)
+            group = []
+        if not group:
+            common, union = need, set()
+        group.append((need, p))
+        common, union = common & need, union | need
+    if group:
+        _multiply_group(amps, n, group, common, union)
+
+
+def _multiply_group(amps, n, group, common, union) -> None:
+    """One multiply of `_multiply_phases`: the slice where every qubit in
+    `common` is 1, times the group's table over the others in `union`."""
+    free = sorted(union - common)
+    marks = sorted(union)
+    shape = _split(n, marks)
+    index = [slice(None)] * len(shape)
+    table_shape = [1]  # a run's axis, then each mark's and the run after
+    for i, q in enumerate(marks):
+        if q in common:
+            index[2 * i + 1] = 1
+            table_shape += [1]
+        else:
+            table_shape += [2, 1]
+    table = np.ones([2] * len(free), dtype=np.complex128)
+    for need, p in group:
+        table[tuple(1 if q in need else slice(None) for q in free)] *= p
+    region = amps.reshape(shape)[tuple(index)]
+    np.multiply(region, table.reshape(table_shape), out=region)
 
 
 def measure_all(state: StateVector, rng_seed: int) -> MeasurementRecord:

@@ -1,6 +1,10 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import qckit.state
 from qckit.qtm import QTMDef, Transition
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -17,6 +21,22 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     amps = rng.normal(size=2 ** n_qubits) + 1j * rng.normal(size=2 ** n_qubits)
     return amps / np.linalg.norm(amps)
+
+
+@contextlib.contextmanager
+def fresh_steps(**constants):
+    """Patch the gate kernel's constants in qckit.state, if any are given,
+    with the step cache emptied on entry and on exit: a cached step keeps
+    the form that the constants of its build chose, and the builders that
+    a test wrapped at the time."""
+    patch = (mock.patch.multiple(qckit.state, **constants) if constants
+             else contextlib.nullcontext())
+    qckit.state._step.cache_clear()
+    try:
+        with patch:
+            yield
+    finally:
+        qckit.state._step.cache_clear()
 
 
 def move_right_machine() -> QTMDef:

@@ -70,9 +70,38 @@ class TestQFT:
             back = simulate(inverse_qft_circuit(n), out)
             assert np.max(np.abs(back.amps - psi)) < 1e-9
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_within_1e_12_of_closed_form(self, n, rng):
+        # F e_j has amplitudes exp(2 pi i jk / 2^n) / sqrt(2^n) over k,
+        # the angle reduced mod 2^n exactly; F psi is sqrt(2^n) ifft(psi)
+        dim = 2 ** n
+        k = np.arange(dim)
+        for j in sorted({0, 1, dim - 1, (5 * dim) // 7,
+                         int(rng.integers(dim))}):
+            got = simulate(qft_circuit(n), basis_state(n, j)).amps
+            want = np.exp(2j * np.pi * (j * k % dim) / dim) / np.sqrt(dim)
+            assert np.max(np.abs(got - want)) < 1e-12, j
+        psi = random_state(n, rng)
+        got = simulate(qft_circuit(n), StateVector(n, psi)).amps
+        assert np.max(np.abs(got - np.sqrt(dim) * np.fft.ifft(psi))) < 1e-12
+        got = simulate(inverse_qft_circuit(n), StateVector(n, psi)).amps
+        assert np.max(np.abs(got - np.fft.fft(psi) / np.sqrt(dim))) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_inverse_is_the_reversed_circuit(self, n):
+        # the forward circuit's gates in reverse, angles negated
+        ops = [GateApp(NAMED, op.targets, name=op.name,
+                       param=None if op.param is None else -op.param)
+               for op in reversed(qft_circuit(n).ops)]
+        assert inverse_qft_circuit(n) == Circuit(n, ops)
+
     def test_capacity(self):
         with pytest.raises(CapacityError):
             qft_circuit(13)
+        with pytest.raises(CapacityError):
+            inverse_qft_circuit(13)
+        with pytest.raises(DimensionError):
+            inverse_qft_circuit(0)
 
 
 class TestDeutschJozsa:

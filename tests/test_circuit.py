@@ -33,7 +33,7 @@ from qckit.gates import (
 from qckit.oracle import Oracle, QueryCounter, oracle_gate
 from qckit.state import MAX_QUBITS, StateVector, basis_state, new_zero_state
 
-from conftest import random_state, random_unitary
+from conftest import fresh_steps, random_state, random_unitary
 from test_oracle import _permuted
 from test_state import _signed_permutation_core, _tensordot_reference
 
@@ -449,10 +449,30 @@ def _in_place_circuits(draw):
     return n, ops, oracles, amps / (np.linalg.norm(amps) or 1.0)
 
 
-def _gate_by_gate(n, ops, oracles, amps):
+def _phase_of(op):
+    """p for an op whose core is diag(1, p), else None."""
+    m = op.matrix
+    if (m is None or m.shape != (2, 2) or m[0, 0] != 1 or m[0, 1] != 0
+            or m[1, 0] != 0):
+        return None
+    return m[1, 1]
+
+
+def _gate_by_gate(n, ops, oracles, amps, fused=True):
     """The circuit applied one gate at a time by the kernels' references:
-    the tensordot for every core, the explicit permutation for oracles."""
+    the tensordot for every core, the explicit permutation for oracles.
+    With `fused`, each run of gates whose core is diag(1, p) goes through
+    `_multiply_phases` instead, as in `simulate`; TestFusedPhases checks
+    that function against the tensordot."""
+    amps, phases = amps.copy(), []
     for op in ops:
+        p = _phase_of(op) if fused else None
+        if p is not None:
+            phases.append((op.targets, p))
+            continue
+        if phases:
+            qckit.state._multiply_phases(amps, n, phases)
+            phases = []
         if op.kind == ORACLE:
             amps = _permuted(amps, n, oracles[op.name].table,
                              list(op.targets[:-1]), op.targets[-1])
@@ -460,6 +480,8 @@ def _gate_by_gate(n, ops, oracles, amps):
             nc = op.n_controls
             amps = _tensordot_reference(amps, op.matrix, n, op.targets[nc:],
                                         op.targets[:nc])
+    if phases:
+        qckit.state._multiply_phases(amps, n, phases)
     return amps
 
 
@@ -477,8 +499,7 @@ class TestOneBuffer:
         # a run threshold of 4 restricts more controls and moves more cores
         n, ops, oracles, amps = case
         before = amps.copy()
-        with mock.patch.multiple(qckit.state, _BLOCK=scratch,
-                                 _RUN_MIN=run_min), \
+        with fresh_steps(_BLOCK=scratch, _RUN_MIN=run_min), \
                 mock.patch.object(qckit.circuit, "_ONE_BUFFER_QUBITS",
                                   1 if in_place else 64):
             got = simulate(Circuit(n, ops), StateVector(n, amps), oracles)
@@ -510,3 +531,109 @@ class TestOneBuffer:
         assert peak < 1.1 * state_bytes
         assert final.amps.nbytes == state_bytes
         assert abs(final.norm() - 1.0) < 1e-9
+
+
+@st.composite
+def _phase_circuits(draw):
+    """(n, ops, amps) on 1-12 qubits: runs of phase, t, s, z, cphase and
+    `unitary` lines with core diag(1, p) under 0-3 controls, broken by h,
+    x and a `unitary` diag(p, q) that is not fused; amplitudes include +0
+    and -0."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = ["phase", "t", "s", "z", "diag", "h", "x", "unfused"]
+    kinds += ["cphase"] if n >= 2 else []
+    ops = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1,
+                              max_size=24)):
+        qubits = [int(q) for q in rng.permutation(n)]
+        angle = float(rng.uniform(-np.pi, np.pi))
+        if kind in ("diag", "unfused"):
+            nc = int(rng.integers(min(3, n - 1) + 1))
+            core = np.diag([np.exp(1j * rng.uniform(-np.pi, np.pi))
+                            if kind == "unfused" else 1.0,
+                            np.exp(1j * angle)])
+            ops.append(GateApp(UNITARY, qubits[:nc + 1], matrix=core,
+                               n_controls=nc))
+        else:
+            param = angle if kind in PARAMETRIC else None
+            ops.append(GateApp(NAMED, qubits[:GATE_ARITY[kind]], name=kind,
+                               param=param))
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    amps[rng.random(2 ** n) < 0.2] = 0.0
+    amps[rng.random(2 ** n) < 0.3] *= -1.0
+    return n, ops, amps / (np.linalg.norm(amps) or 1.0)
+
+
+class TestFusedPhases:
+    """`simulate` applies each run of gates whose core is diag(1, p) as
+    one multiply by the run's phase table, within 1e-12 of the gates one
+    by one, in both buffer modes and with tables split at 2 entries."""
+
+    @given(_phase_circuits(), st.booleans(), st.sampled_from([2, 2 ** 10]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_gate_by_gate(self, case, in_place, table):
+        n, ops, amps = case
+        before = amps.copy()
+        kernel = mock.patch.object(qckit.circuit, "apply_unitary",
+                                   wraps=qckit.circuit.apply_unitary)
+        buffers = mock.patch.object(qckit.circuit, "_ONE_BUFFER_QUBITS",
+                                    1 if in_place else 64)
+        with kernel as apply, buffers, \
+                mock.patch.object(qckit.state, "_TABLE", table):
+            got = simulate(Circuit(n, ops), StateVector(n, amps))
+        want = _gate_by_gate(n, ops, {}, before, fused=False)
+        assert np.max(np.abs(got.amps - want)) < 1e-12
+        assert apply.call_count == sum(_phase_of(op) is None for op in ops)
+        assert np.array_equal(amps, before)
+
+    def test_table_size_splits_a_run(self):
+        # one qft cascade on qubit 0 of 12 needs a table over qubits 1-11
+        ops = [GateApp(NAMED, (k, 0), name="cphase", param=0.1 * k)
+               for k in range(1, 12)]
+        amps = random_state(12, np.random.default_rng(7))
+        tables = []
+        group = qckit.state._multiply_group
+
+        def recorded(amps, n, group_ops, common, union):
+            tables.append(len(union - common))
+            group(amps, n, group_ops, common, union)
+
+        with mock.patch.object(qckit.state, "_multiply_group", recorded):
+            got = simulate(Circuit(12, ops), StateVector(12, amps))
+        # 2**10 = _TABLE entries, then the last cphase alone, whose qubits
+        # are all indexed away
+        assert tables == [10, 0]
+        want = _gate_by_gate(12, ops, {}, amps, fused=False)
+        assert np.max(np.abs(got.amps - want)) < 1e-12
+
+
+class TestStepCache:
+    def test_same_bytes_cold_and_warm(self, rng):
+        # every kernel form, an oracle and a diagonal run, with the step
+        # cache empty and then holding every step
+        n = 12
+        ops = [GateApp(NAMED, (q,), name="h") for q in range(n)]
+        ops += [
+            GateApp(NAMED, (3, 1), name="cphase", param=0.3),
+            GateApp(NAMED, (1,), name="t"),
+            GateApp(NAMED, (0,), name="x"),                     # move
+            GateApp(NAMED, (11,), name="y"),                    # kron rows
+            GateApp(UNITARY, (2, 5), matrix=random_unitary(2, rng),
+                    n_controls=1),                              # columns
+            GateApp(UNITARY, (0, 7, 9, 10, 11),
+                    matrix=_signed_permutation_core(rng, 4, False),
+                    n_controls=1),                              # gather
+            GateApp(UNITARY, (4, 8), matrix=random_unitary(4, rng)),
+            GateApp(ORACLE, (2, 6, 10), name="f"),
+        ]
+        oracles = {"f": Oracle(2, (0, 1, 1, 0))}
+        circuit = Circuit(n, ops * 2)
+        with fresh_steps():
+            cold = simulate(circuit, oracle_table=oracles).amps
+            info = qckit.state._step.cache_info()
+            warm = simulate(circuit, oracle_table=oracles).amps
+            assert qckit.state._step.cache_info().hits == (
+                info.hits + info.misses + info.hits)
+        assert cold.tobytes() == warm.tobytes()
+

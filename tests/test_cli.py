@@ -1,4 +1,3 @@
-import contextlib
 import json
 from unittest import mock
 
@@ -6,12 +5,13 @@ import numpy as np
 import pytest
 
 import qckit.cli
-import qckit.state
 from qckit.circuit import parse_circuit, simulate
 from qckit.cli import MAX_SHOTS, main
 from qckit.gates import GATE_ARITY, PARAMETRIC
 from qckit.oracle import load_oracle
 from qckit.state import _born_samples
+
+from conftest import fresh_steps
 
 BELL = "qubits 2\nh 0\ncx 0 1\n"
 MOVE_RIGHT = """states q0 ; initial q0 ; final q0
@@ -138,9 +138,7 @@ class TestRunReadout:
             path = tmp_path / f"c{trial}.circuit"
             path.write_text(text)
             shots, seed = int(rng.integers(0, 3000)), int(rng.integers(2 ** 32))
-            chunked = (mock.patch.object(qckit.state, "_BLOCK", chunk)
-                       if chunk else contextlib.nullcontext())
-            with chunked:
+            with fresh_steps(**({"_BLOCK": chunk} if chunk else {})):
                 code, out, _ = run_cli(
                     capsys, "run", str(path), "--shots", str(shots), "--seed",
                     str(seed), "--oracle", f"f={oracle}")

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qckit.oracle
-import qckit.state
 
 from qckit.circuit import Circuit, GateApp, ORACLE, simulate
 from qckit.errors import CapacityError, DimensionError, ParseError
@@ -23,7 +22,7 @@ from qckit.oracle import (
 )
 from qckit.state import StateVector, new_zero_state
 
-from conftest import random_state
+from conftest import fresh_steps, random_state
 
 
 def all_oracles(n):
@@ -192,7 +191,7 @@ class TestApplyOracleExact:
         psi = random_state(n, rng)
         psi[rng.random(2 ** n) < 0.2] *= -0.0
         before = psi.copy()
-        with mock.patch.object(qckit.state, "_BLOCK", chunk):
+        with fresh_steps(_BLOCK=chunk):
             got = apply_oracle(StateVector(n, psi), Oracle(n_inputs, table),
                                x_targets, b_target).amps
         want = _permuted(before, n, table, x_targets, b_target)

@@ -1,5 +1,7 @@
 import contextlib
+import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ from qckit.state import (
     schmidt_rank,
 )
 
-from conftest import random_state, random_unitary
+from conftest import fresh_steps, random_state, random_unitary
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -64,6 +66,13 @@ class TestApplyUnitary:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             apply_unitary(new_zero_state(2), np.eye(4), [0])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_no_targets(self, n):
+        # a 1x1 core once applied its scalar at 1 qubit and raised a bare
+        # ValueError from max(targets) at 3
+        with pytest.raises(DimensionError, match="at least one target"):
+            apply_unitary(new_zero_state(n), np.eye(1), [])
 
     def test_duplicate_targets(self):
         with pytest.raises(DimensionError):
@@ -196,9 +205,7 @@ class TestKernelBitExact:
         # short runs put more controls on the restricted path and turn
         # more 1-target cores into the column GEMM; TestInPlace reaches the
         # in-place pieces through _BLOCK
-        runs = (mock.patch.multiple(qckit.state, _RUN_MIN=4)
-                if short_runs else contextlib.nullcontext())
-        with runs:
+        with fresh_steps(**({"_RUN_MIN": 4} if short_runs else {})):
             got = apply_unitary(StateVector(n, amps), core, targets,
                                 controls, out=out)
         want = _tensordot_reference(before, core, n, targets, controls)
@@ -289,7 +296,7 @@ class TestMoveForm:
         before = amps.copy()
         out = np.full_like(amps, np.nan) if use_out else None
         # small chunks cut the blocks multiplied by i or -i into pieces
-        with mock.patch.multiple(qckit.state, _RUN_MIN=run_min, _BLOCK=chunk):
+        with fresh_steps(_RUN_MIN=run_min, _BLOCK=chunk):
             with mock.patch.object(qckit.state, "_move",
                                    wraps=qckit.state._move) as move:
                 got = apply_unitary(StateVector(n, amps), core, targets,
@@ -307,7 +314,8 @@ class TestMoveForm:
         psi[rng.random(256) < 0.5] *= -0.0
         x = standard_gate_matrix("x")
         for controls in ([2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6]):
-            with mock.patch.object(qckit.state, "_move") as move:
+            with fresh_steps(), mock.patch.object(qckit.state,
+                                                  "_move") as move:
                 got = apply_unitary(StateVector(8, psi), x, [0], controls)
             assert not move.called
             want = _tensordot_reference(psi, x, 8, [0], controls)
@@ -322,7 +330,7 @@ class TestMoveForm:
     ])
     def test_other_cores_are_multiplied(self, core, rng):
         psi = random_state(8, rng)
-        with mock.patch.object(qckit.state, "_move") as move:
+        with fresh_steps(), mock.patch.object(qckit.state, "_move") as move:
             got = apply_unitary(StateVector(8, psi), core, [0])
         assert not move.called
         assert _same_bits(got.amps, _tensordot_reference(psi, core, 8, [0]))
@@ -390,12 +398,15 @@ def _dense_gate(n, targets, controls, seed):
 
 
 def _core(name, rng):
-    """A named gate's core, or a random dense 2-target core ("dense2") or
-    4-target permutation core ("perm4")."""
+    """A named gate's core, or a random dense 2-target core ("dense2"), or
+    a random 4-target permutation core ("perm4"), signed ("signed4")."""
     if name == "dense2":
         return random_unitary(4, rng)
-    if name == "perm4":
-        return _signed_permutation_core(rng, 4, False)
+    if name in ("perm4", "signed4"):
+        core = _signed_permutation_core(rng, 4, False)
+        if name == "signed4":  # one factor -i, so not every factor is 1
+            core[0] *= -1j
+        return core
     return standard_gate_matrix(name)
 
 
@@ -404,7 +415,7 @@ class TestFormTable:
     Every form gives the tensordot's bits, so a gate sent to the wrong
     form would pass every bit test and show only as time."""
 
-    BUILDERS = ("_move", "_columns", "_kron_rows", "_contract")
+    BUILDERS = ("_move", "_columns", "_kron_rows", "_gather", "_contract")
 
     @pytest.mark.parametrize("n, core, targets, controls, form", [
         (10, "h", [0], [], "_columns"),
@@ -415,15 +426,20 @@ class TestFormTable:
         (10, "x", [0], [], "_move"),
         (10, "swap", [0, 1], [], "_move"),
         (10, "dense2", [0, 1], [], "_contract"),
-        (10, "perm4", [6, 7, 8, 9], [], "_contract"),
+        (10, "perm4", [6, 7, 8, 9], [], "_gather"),
         (8, "x", [0], [2, 3, 4, 5, 6, 7], "_contract"),  # narrow slice
+        (10, "perm4", [9, 3, 7, 5], [1], "_gather"),  # control before rows
+        (10, "swap", [4, 9], [6], "_gather"),  # control inside the row
+        (10, "swap", [8, 9], [0, 2, 5], "_gather"),
+        (10, "signed4", [6, 7, 8, 9], [], "_contract"),  # not all 1
+        (8, "swap", [6, 7], [0, 1, 2, 3, 4], "_contract"),  # narrow slice
     ])
     @pytest.mark.parametrize("in_place", [False, True])
     def test_form(self, n, core, targets, controls, form, in_place, rng):
         u = _core(core, rng)
         psi = random_state(n, rng)
         state = StateVector(n, psi.copy())
-        with contextlib.ExitStack() as stack:
+        with fresh_steps(), contextlib.ExitStack() as stack:
             builders = {
                 name: stack.enter_context(mock.patch.object(
                     qckit.state, name, wraps=getattr(qckit.state, name)))
@@ -433,6 +449,93 @@ class TestFormTable:
         assert [name for name, b in builders.items() if b.called] == [form]
         assert _same_bits(got.amps, _tensordot_reference(psi, u, n, targets,
                                                          controls))
+
+
+class TestGather:
+    """A permutation core, every factor 1, on 2 or more targets whose last
+    one leaves runs shorter than _RUN_MIN is one gather over rows that
+    start at its first target, and gives the tensordot reference's bits,
+    into `out` and in place, over every layout of 2 targets and every set
+    of 3, with no control, one inside the row, one before it, or both.
+    With _BLOCK at 64 amplitudes the in-place update cuts a state of 7 or
+    more qubits into pieces, and longer rows keep the tensordot."""
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    @pytest.mark.parametrize("block", [2 ** 6, 2 ** 15])
+    def test_every_layout(self, n, block, rng):
+        layouts = list(itertools.permutations(range(n), 2))
+        layouts += [list(rng.permutation(t))
+                    for t in itertools.combinations(range(n), 3)]
+        for i, targets in enumerate(layouts):
+            targets = [int(t) for t in targets]
+            first = min(targets)
+            inside = [q for q in range(first, n) if q not in targets]
+            before = list(range(first))
+            for controls in ([], inside[:1], before[-1:],
+                             inside[-1:] + before[:1]):
+                core = _signed_permutation_core(rng, len(targets), False)
+                if i % 2:
+                    psi = random_state(n, rng)
+                    psi[rng.random(2 ** n) < 0.3] *= -0.0
+                else:
+                    psi = basis_state(n, int(rng.integers(2 ** n))).amps
+                want = _tensordot_reference(psi, core, n, targets, controls)
+                gathered = (2 ** (n - 1 - max(targets)) < 64
+                            and 2 ** (n - first) <= block
+                            and n - len(controls) - len(targets) >= 2)
+                for in_place in (False, True):
+                    state = StateVector(n, psi.copy())
+                    with fresh_steps(_BLOCK=block), mock.patch.object(
+                            qckit.state, "_gather",
+                            wraps=qckit.state._gather) as gather:
+                        got = apply_unitary(
+                            state, core, targets, controls,
+                            out=state.amps if in_place else None)
+                    assert gather.called == gathered, (targets, controls)
+                    assert _same_bits(got.amps, want), (targets, controls)
+
+
+class TestStepCache:
+    """`apply_unitary` caches each gate's step by (n, targets, controls,
+    core bytes), for cores of up to _STEP_DIM rows, in at most _STEPS
+    steps."""
+
+    def test_worst_case_memory(self, rng):
+        # the largest steps: gathers over rows of _BLOCK amplitudes, each
+        # keyed by a 32 x 32 core, under the 280 KiB a step that _step's
+        # docstring states
+        n = 16
+        assert 2 ** (n - 1) == qckit.state._BLOCK
+        steps = qckit.state._STEPS
+        state = basis_state(n, 3)
+        with fresh_steps():
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                for _ in range(steps + 1):
+                    core = _signed_permutation_core(rng, 5, False)
+                    apply_unitary(state, core, [1, 12, 13, 14, 15],
+                                  out=state.amps)
+                held = tracemalloc.get_traced_memory()[0] - start
+            finally:
+                tracemalloc.stop()
+            info = qckit.state._step.cache_info()
+        assert info.currsize == steps and info.hits == 0
+        assert held < steps * 280 * 1024
+        assert held > steps * 8 * qckit.state._BLOCK  # each holds its index
+
+    def test_same_key_hits_and_large_cores_bypass(self, rng):
+        u = random_unitary(4, rng)
+        psi = random_state(8, rng)
+        with fresh_steps():
+            first = apply_unitary(StateVector(8, psi), u, [2, 5], [0])
+            again = apply_unitary(StateVector(8, psi), u.copy(order="F"),
+                                  np.array([2, 5]), [0])
+            assert qckit.state._step.cache_info()[:2] == (1, 1)
+            apply_unitary(StateVector(8, psi), random_unitary(64, rng),
+                          range(6))
+            assert qckit.state._step.cache_info().currsize == 1
+        assert _same_bits(first.amps, again.amps)
 
 
 class TestInPlace:
@@ -451,8 +554,7 @@ class TestInPlace:
     @settings(max_examples=300, deadline=None)
     def test_matches_out_of_place(self, gate, scratch, run_min):
         n, amps, core, targets, controls = gate
-        with mock.patch.multiple(qckit.state, _BLOCK=scratch,
-                                 _RUN_MIN=run_min):
+        with fresh_steps(_BLOCK=scratch, _RUN_MIN=run_min):
             want = apply_unitary(StateVector(n, amps), core, targets,
                                  controls).amps
             state = StateVector(n, amps.copy())
