@@ -16,7 +16,10 @@ primitives, serialize losslessly.
 
 Every gate but an oracle is simulated as its core matrix on the slice of
 the state where its controls, the leading targets, are all 1; `simulate`
-applies each run of gates whose core is diag(1, p) as one multiply.
+applies each run of gates whose core is diag(1, p) as one multiply, and
+each layer of `h` and dense one-qubit `unitary` gates with adjacent
+qubits as blocks of up to 5 adjacent qubits, one Kronecker-product core
+each (`_calls`).
 `state._check_targets` is the one check of a gate's qubits: `Circuit` runs
 it on each op, and `parse_circuit` first on each line, to name the line;
 a `unitary` line's targets are checked before they size its core. A
@@ -46,9 +49,11 @@ from qckit.oracle import Oracle, QueryCounter, apply_oracle
 from qckit.state import (
     GATE_NORM_TOL,
     MAX_QUBITS,
+    _STEP_DIM,
     StateVector,
     _check_targets,
     _multiply_phases,
+    _signed_permutation,
     _unchecked,
     apply_unitary,
     new_zero_state,
@@ -140,6 +145,73 @@ def _phase(op: GateApp) -> complex | None:
     return p if one == 1 and upper == 0 and lower == 0 else None
 
 
+def _kron(cores: list[np.ndarray]) -> np.ndarray:
+    """kron(cores[0], cores[1], ...) of 2x2 cores, entry for entry, by
+    broadcast products (np.kron's own checks cost more than they do)."""
+    block = cores[0]
+    for core in cores[1:]:
+        dim = 2 * len(block)
+        block = (block[:, None, :, None]
+                 * core[None, :, None, :]).reshape(dim, dim)
+    return block
+
+
+def _layer(cores: dict[int, np.ndarray]):
+    """(core, targets, controls) for each kernel call of a layer: a run of
+    uncontrolled one-qubit gates on distinct qubits, as {qubit: core} in
+    run order. With no two adjacent qubits they go one by one in run
+    order. Otherwise the sorted qubits are cut, greedily from the lowest,
+    into blocks of up to log2(_STEP_DIM) adjacent qubits, and each block
+    is one call whose core is the Kronecker product of its gates' cores."""
+    qubits = sorted(cores)
+    if all(b - a > 1 for a, b in zip(qubits, qubits[1:])):
+        return [(core, (q,), ()) for q, core in cores.items()]
+    span, blocks = _STEP_DIM.bit_length() - 1, []
+    for q in qubits:
+        if blocks and blocks[-1][-1] == q - 1 and len(blocks[-1]) < span:
+            blocks[-1].append(q)
+        else:
+            blocks.append([q])
+    return [(_kron([cores[q] for q in block]), tuple(block), ())
+            for block in blocks]
+
+
+def _calls(ops: list[GateApp]):
+    """The kernel calls `simulate` makes for `ops`, in order: each run of
+    consecutive gates whose core is diag(1, p), under any controls, as a
+    list of (qubits, p); each oracle as its GateApp; and every other gate
+    as (core, targets, controls). A run of consecutive uncontrolled
+    one-qubit gates whose core is neither diag(1, p) nor a signed
+    permutation (`h` and dense one-qubit `unitary` lines), on distinct
+    qubits, is one layer, cut into calls by `_layer`; it ends at any other
+    gate or at a repeated qubit."""
+    phases, layer = [], {}
+    for op in ops:
+        p = _phase(op)
+        dense = (p is None and op.matrix is not None and not op.n_controls
+                 and op.matrix.shape == (2, 2)
+                 and _signed_permutation(op.matrix) is None)
+        if phases and p is None:
+            yield phases
+            phases = []
+        if layer and (not dense or op.targets[0] in layer):
+            yield from _layer(layer)
+            layer = {}
+        if p is not None:
+            phases.append((op.targets, p))
+        elif dense:
+            layer[op.targets[0]] = op.matrix
+        elif op.kind == ORACLE:
+            yield op
+        else:
+            nc = op.n_controls
+            yield op.matrix, op.targets[nc:], op.targets[:nc]
+    if phases:
+        yield phases
+    if layer:
+        yield from _layer(layer)
+
+
 def simulate(
     circuit: Circuit,
     initial: StateVector | None = None,
@@ -150,16 +222,18 @@ def simulate(
 
     Oracle gates are resolved through `oracle_table` and applied via the
     strided kernel, incrementing `counter.quantum_queries` once each.
-    The state is a copy of `initial` or a new zero state. Each run of
-    consecutive gates whose core is diag(1, p), under any controls, is one
-    in-place multiply by the run's phase table (`state._multiply_phases`),
-    and every oracle permutes the state in place (`out` is its own array).
-    Every other gate goes through `apply_unitary`: in place too from
-    _ONE_BUFFER_QUBITS qubits on, so a wide simulation holds one
-    state-sized buffer. On a narrower state such a gate writes its result
-    into a second buffer, and the two alternate: while both are small,
-    that is cheaper than the in-place kernel's copy of each piece it
-    computes. Only the returned state is checked for finiteness.
+    The state is a copy of `initial` or a new zero state. The gates go to
+    the kernels in the calls of `_calls`. Each run of consecutive gates
+    whose core is diag(1, p), under any controls, is one in-place multiply
+    by the run's phase table (`state._multiply_phases`), and every oracle
+    permutes the state in place (`out` is its own array). Every other
+    call, a layer's blocks of one-qubit gates among them, goes through
+    `apply_unitary`: in place too from _ONE_BUFFER_QUBITS qubits on, so a
+    wide simulation holds one state-sized buffer. On a narrower state
+    such a call writes its result into a second buffer, and the two
+    alternate: while both are small, that is cheaper than the in-place
+    kernel's copy of each piece it computes. Only the returned state is
+    checked for finiteness.
     """
     if initial is None:
         state = new_zero_state(circuit.n_qubits)
@@ -172,34 +246,25 @@ def simulate(
         state = _unchecked(initial.n_qubits, initial.amps.copy())
     spare = (None if circuit.n_qubits >= _ONE_BUFFER_QUBITS
              else np.empty_like(state.amps))
-    phases = []  # the diagonal run not yet applied, as (qubits, p)
-    for op in circuit.ops:
-        p = _phase(op)
-        if p is not None:
-            phases.append((op.targets, p))
-            continue
-        if phases:
-            _multiply_phases(state.amps, state.n_qubits, phases)
-            phases = []
-        if op.kind == ORACLE:
-            oracle = (oracle_table or {}).get(op.name)
+    for call in _calls(circuit.ops):
+        if isinstance(call, list):
+            _multiply_phases(state.amps, state.n_qubits, call)
+        elif isinstance(call, GateApp):
+            oracle = (oracle_table or {}).get(call.name)
             if oracle is None:
                 raise UnresolvedOracleError(
-                    f"oracle {op.name!r} has no binding"
+                    f"oracle {call.name!r} has no binding"
                 )
             apply_oracle(
-                state, oracle, list(op.targets[:-1]), op.targets[-1],
+                state, oracle, list(call.targets[:-1]), call.targets[-1],
                 counter=counter, out=state.amps,
             )
-            continue
-        nc = op.n_controls
-        new = apply_unitary(state, op.matrix, op.targets[nc:],
-                            op.targets[:nc],
-                            out=state.amps if spare is None else spare)
-        if spare is not None:
-            spare, state = state.amps, new
-    if phases:
-        _multiply_phases(state.amps, state.n_qubits, phases)
+        else:
+            core, targets, controls = call
+            new = apply_unitary(state, core, targets, controls,
+                                out=state.amps if spare is None else spare)
+            if spare is not None:
+                spare, state = state.amps, new
     return StateVector(state.n_qubits, state.amps)
 
 

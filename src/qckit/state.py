@@ -29,17 +29,22 @@ control is 1.
 - A permutation core, every nonzero 1, on 2 or more targets whose last
   one leaves shorter runs is gathered when the rows that start at its
   first target hold at most _BLOCK amplitudes: one np.take of each row.
-- Any other 1-target core is a BLAS product. With R = 2**(n-1-t)
-  amplitudes between the halves of each pair, it is u @ (2, R) blocks for
-  R >= _RUN_MIN, else rows of width = max(2R, 4) times
-  kron(I_{width/2R}, kron(u, I_R)).T, as u @ (2, R) makes one BLAS call
-  per 2R amplitudes. The rows are cut from the region's last axis.
-- Other multi-target cores, and slices of fewer than 4 columns beside the
-  targets, are a tensordot over the target axes, restricted by every
-  control.
+- Any other core on k sorted adjacent targets, every other 1-target
+  core among them, is a BLAS product over the targets' one axis of 2**k.
+  With R amplitudes after the last target, in rows of 2**k * R, it is
+  u @ (2**k, R) blocks when a row holds at least 2 * _RUN_MIN amplitudes
+  (so R >= _RUN_MIN for k = 1), else rows of width = max(2**k * R, 4)
+  times kron(I_{width/2**k R}, kron(u, I_R)).T, as u @ (2**k, R) makes
+  one BLAS call per row. The rows are cut from the region's last axis.
+  A state of one such row keeps the tensordot.
+- Other cores (on unsorted or non-adjacent targets, or signed
+  permutations neither moved nor gathered), and slices of fewer than 4
+  columns beside the targets, are a tensordot over the target axes,
+  restricted by every control.
 
-Every form gives the same bits as that tensordot, which the tests check.
-A move's products are exact and, on 4 or more columns, accumulate from
+Every form gives the same bits as that tensordot, which the tests check
+on the default BLAS kernel; another kernel can round the BLAS forms'
+sums differently from its tensordot, over K = 2**k terms. A move's products are exact and, on 4 or more columns, accumulate from
 +0, so a move or a gather writes every zero as +0 and its bits do not
 depend on the BLAS build.
 
@@ -86,7 +91,7 @@ _TABLE = 2 ** 10    # entries of a diagonal run's phase table; a longer run
 _STEP_DIM = 32      # cores of up to this dimension (5 targets) have their
                     # step cached
 _STEPS = 512        # steps the cache holds; one pass of perfbench's
-                    # algo-mix builds 272
+                    # algo-mix builds 255
 
 
 @dataclass
@@ -277,14 +282,16 @@ def _put_back(piece, new, bits) -> None:
     piece.reshape(shape)[index] = new.reshape(shape)[index]
 
 
-def _layout(n, qubits, controls, run):
+def _layout(n, qubits, controls, run, merged=False):
     """Shape and index of a region of an n-qubit state: reshaped to
     `shape`, then indexed by `index`, the state gives each of `qubits` an
     axis of 2 and holds the slice where every control that leaves runs of
-    at least `run` amplitudes is 1. Also returns the region's axes of
-    `qubits`, in their order, and the mask of the other controls' bits,
-    which a gate computes over. Every form's qubits leave runs of at least
-    `run` amplitudes, so those bits index the region's last axis."""
+    at least `run` amplitudes is 1. With `merged`, the qubits are sorted
+    and adjacent and share one axis of 2**len(qubits) instead. Also
+    returns the region's axes of `qubits`, in their order (the one merged
+    axis), and the mask of the other controls' bits, which a gate computes
+    over. Every form's qubits leave runs of at least `run` amplitudes, so
+    those bits index the region's last axis."""
     fixed = [c for c in controls if 2 ** (n - 1 - c) >= run]
     marks = sorted(qubits + fixed)
     shape = _split(n, marks)
@@ -293,6 +300,11 @@ def _layout(n, qubits, controls, run):
         index[2 * marks.index(c) + 1] = 1
     axes = [2 * marks.index(q) + 1 - sum(c < q for c in fixed)
             for q in qubits]
+    if merged:  # the qubits' axes of 2 and the empty runs between them
+        first, k = 2 * marks.index(qubits[0]) + 1, len(qubits)
+        shape[first:first + 2 * k - 1] = [2 ** k]
+        del index[first:first + 2 * k - 2]
+        axes = axes[:1]
     bits = sum(1 << (n - 1 - int(c)) for c in controls if c not in fixed)
     return shape, tuple(index), axes, bits
 
@@ -341,8 +353,9 @@ def _move(moves, axes):
 
 
 def _columns(u, axis):
-    """compute(piece, new) for a 1-target core u on `axis`: u times the
-    (2, R) blocks of that axis and the columns after it."""
+    """compute(piece, new) for a core u on `axis`, the one axis of its
+    sorted adjacent targets: u times the (2**k, R) blocks of that axis and
+    the columns after it."""
 
     def compute(piece, new):
         np.matmul(u, piece, out=new, axes=[(0, 1), (axis, -1), (axis, -1)])
@@ -351,17 +364,20 @@ def _columns(u, axis):
 
 
 def _kron_rows(u, r):
-    """compute(piece, new) for a 1-target core u whose pairs lie r < _RUN_MIN
-    amplitudes apart: rows of width = max(2r, 4) amplitudes, cut from the
-    piece's last axis, times kron(I_a, kron(u, I_r)).T with a = width/2r.
-    That is one BLAS call for all rows, where u @ (2, r) would make one per
-    2r amplitudes."""
-    width = max(2 * r, 4)
-    a = width // (2 * r)
+    """compute(piece, new) for a core u on sorted adjacent targets that
+    leave runs of r amplitudes, whose rows of len(u) * r amplitudes are
+    shorter than 2 * _RUN_MIN: rows of width = max(len(u) * r, 4)
+    amplitudes, cut from the piece's last axis, times
+    kron(I_a, kron(u, I_r)).T with a = width / (len(u) * r). That is one
+    BLAS call for all rows, where u @ (len(u), r) would make one per
+    len(u) * r amplitudes."""
+    d = len(u)
+    width = max(d * r, 4)
+    a = width // (d * r)
     # kron(I_a, kron(u, I_r)) by one broadcast product, entry for entry
     # (np.kron's own checks cost more than the product here)
     block = (np.eye(a * r).reshape(a, 1, r, a, 1, r)
-             * u.reshape(1, 2, 1, 1, 2, 1)).reshape(width, width).T
+             * u.reshape(1, d, 1, 1, d, 1)).reshape(width, width).T
 
     def compute(piece, new):
         rows = piece.shape[:-1] + (-1, width)
@@ -450,22 +466,31 @@ def _step(n, targets, controls, core):
     row = 2 ** (n - min(targets))
     moves = (_signed_permutation(u)
              if r >= _RUN_MIN or k > 1 and wide and row <= _BLOCK else None)
+    # any other core on sorted adjacent targets is a product over their
+    # one axis of 2**k, in rows of 2**k * r amplitudes (kron rows of at
+    # least 4)
+    adjacent = (moves is None and wide
+                and targets == list(range(targets[0], targets[0] + k)))
+    width = max(2 ** k * r, 4)
     if moves is not None and r >= _RUN_MIN:
         shape, index, axes, bits = _layout(n, targets, controls, _RUN_MIN)
         whole, compute = axes, _move(moves, axes)
-    elif k == 1 and r >= _RUN_MIN:
-        shape, index, axes, bits = _layout(n, targets, controls, _RUN_MIN)
-        whole, compute = axes, _columns(u, axes[0])
-    elif k == 1 and wide:
-        # the region's last axis, a run of a multiple of the row width,
-        # holds every row and every computed-over control
-        shape, index, _, bits = _layout(n, [], controls,
-                                        _RUN_MIN * max(2 * r, 4))
-        whole, compute = [], _kron_rows(u, r)
     elif moves is not None and all(f == 1 for _, f in moves):
-        # as for kron rows, with rows of `row` amplitudes
+        # the region's last axis, a run of a multiple of `row`, holds
+        # every row and every computed-over control
         shape, index, _, bits = _layout(n, [], controls, _RUN_MIN * row)
         whole, compute = [], _gather(moves, targets, n)
+    elif adjacent and width >= 2 * _RUN_MIN and r >= 4:
+        # (fewer than 4 columns would round differently, as above)
+        shape, index, axes, bits = _layout(n, targets, controls, _RUN_MIN,
+                                           merged=True)
+        whole, compute = axes, _columns(u, axes[0])
+    elif adjacent and width < 2 * _RUN_MIN and width < 2 ** n:
+        # as for the gather, with rows of `width`. A state of one row
+        # keeps the tensordot: numpy makes that product a GEMV, whose sums
+        # of more than 2 terms can round differently from a GEMM's
+        shape, index, _, bits = _layout(n, [], controls, _RUN_MIN * width)
+        whole, compute = [], _kron_rows(u, r)
     else:
         # every control restricts the region, and is indexed away, since
         # the slice's width can change the tensordot's rounding

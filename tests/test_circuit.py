@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from unittest import mock
 
@@ -449,39 +450,37 @@ def _in_place_circuits(draw):
     return n, ops, oracles, amps / (np.linalg.norm(amps) or 1.0)
 
 
-def _phase_of(op):
-    """p for an op whose core is diag(1, p), else None."""
-    m = op.matrix
-    if (m is None or m.shape != (2, 2) or m[0, 0] != 1 or m[0, 1] != 0
+def _phase_of(m):
+    """p for a core diag(1, p), else None."""
+    if (m.shape != (2, 2) or m[0, 0] != 1 or m[0, 1] != 0
             or m[1, 0] != 0):
         return None
     return m[1, 1]
 
 
 def _gate_by_gate(n, ops, oracles, amps, fused=True):
-    """The circuit applied one gate at a time by the kernels' references:
-    the tensordot for every core, the explicit permutation for oracles.
-    With `fused`, each run of gates whose core is diag(1, p) goes through
-    `_multiply_phases` instead, as in `simulate`; TestFusedPhases checks
-    that function against the tensordot."""
-    amps, phases = amps.copy(), []
-    for op in ops:
-        p = _phase_of(op) if fused else None
-        if p is not None:
-            phases.append((op.targets, p))
-            continue
-        if phases:
-            qckit.state._multiply_phases(amps, n, phases)
-            phases = []
-        if op.kind == ORACLE:
-            amps = _permuted(amps, n, oracles[op.name].table,
-                             list(op.targets[:-1]), op.targets[-1])
+    """The circuit applied one kernel call at a time by the kernels'
+    references: the tensordot for every core, the explicit permutation
+    for oracles. With `fused` the calls are `simulate`'s, from
+    `circuit._calls`: each run of gates whose core is diag(1, p) goes
+    through `_multiply_phases`, and each layer of one-qubit gates is cut
+    into blocks whose cores are Kronecker products; TestFusedPhases and
+    TestFusedLayers check those calls against the gates one by one.
+    Without it each gate is one call."""
+    amps = amps.copy()
+    calls = qckit.circuit._calls(ops) if fused else [
+        op if op.kind == ORACLE else
+        (op.matrix, op.targets[op.n_controls:], op.targets[:op.n_controls])
+        for op in ops]
+    for call in calls:
+        if isinstance(call, list):
+            qckit.state._multiply_phases(amps, n, call)
+        elif isinstance(call, GateApp):
+            amps = _permuted(amps, n, oracles[call.name].table,
+                             list(call.targets[:-1]), call.targets[-1])
         else:
-            nc = op.n_controls
-            amps = _tensordot_reference(amps, op.matrix, n, op.targets[nc:],
-                                        op.targets[:nc])
-    if phases:
-        qckit.state._multiply_phases(amps, n, phases)
+            core, targets, controls = call
+            amps = _tensordot_reference(amps, core, n, targets, controls)
     return amps
 
 
@@ -519,6 +518,9 @@ class TestOneBuffer:
             GateApp(NAMED, (1, 6, 10, 20, 12), name="mcx"),
             GateApp(ORACLE, tuple(range(0, 22, 2)), name="f"),
         ]
+        # one layer, fused into a column GEMM and a kron-row GEMM
+        ops += [GateApp(NAMED, (q,), name="h")
+                for q in [10, 11, 12, 13, 14, 19, 20, 21, 22, 23]]
         oracles = {"f": Oracle(10, rng.integers(0, 2, 2 ** 10))}
         initial = basis_state(n, 5)
         state_bytes = initial.amps.nbytes
@@ -531,6 +533,113 @@ class TestOneBuffer:
         assert peak < 1.1 * state_bytes
         assert final.amps.nbytes == state_bytes
         assert abs(final.norm() - 1.0) < 1e-9
+
+
+@st.composite
+def _layer_circuits(draw):
+    """(n, ops, amps) on 2-12 qubits: up to 4 groups of gates, each on a
+    run of adjacent qubits in any order or on random qubits with repeats.
+    A gate is `h` or a dense one-qubit `unitary`, which form layers, or
+    `x`, `phase`, `cx` or a controlled `unitary` core, which end them.
+    Amplitudes include +0 and -0."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ops = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            first = int(rng.integers(n))
+            last = min(n, first + draw(st.integers(1, 7)))
+            qubits = rng.permutation(range(first, last))
+        else:
+            qubits = rng.integers(0, n, draw(st.integers(1, 8)))
+        for q in map(int, qubits):
+            kind = rng.choice(["h", "dense", "x", "phase", "cx", "cu"],
+                              p=[0.35, 0.35, 0.075, 0.075, 0.075, 0.075])
+            other = (q + 1) % n
+            if kind in ("h", "x"):
+                ops.append(GateApp(NAMED, (q,), name=str(kind)))
+            elif kind == "phase":
+                ops.append(GateApp(NAMED, (q,), name="phase",
+                                   param=float(rng.uniform(-4, 4))))
+            elif kind == "cx":
+                ops.append(GateApp(NAMED, (other, q), name="cx"))
+            else:
+                ops.append(GateApp(UNITARY, (other, q) if kind == "cu"
+                                   else (q,), matrix=random_unitary(2, rng),
+                                   n_controls=int(kind == "cu")))
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    amps[rng.random(2 ** n) < 0.2] = 0.0
+    amps[rng.random(2 ** n) < 0.3] *= -1.0
+    return n, ops, amps / (np.linalg.norm(amps) or 1.0)
+
+
+def _layer_targets(ops):
+    """The targets of each kernel call `simulate` makes for `ops`."""
+    return [call[1] for call in qckit.circuit._calls(ops)
+            if isinstance(call, tuple)]
+
+
+class TestFusedLayers:
+    """`simulate` applies each layer of `h` and dense one-qubit `unitary`
+    gates on distinct qubits as blocks of up to 5 adjacent qubits, one
+    kernel call per block whose core is the Kronecker product of the
+    block's cores: within 1e-12 of the gates one by one, in both buffer
+    modes, and bit for bit the tensordot of each block. A layer with no
+    two adjacent qubits is applied gate by gate."""
+
+    @given(_layer_circuits(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_gate_by_gate(self, case, in_place):
+        n, ops, amps = case
+        before = amps.copy()
+        with mock.patch.object(qckit.circuit, "_ONE_BUFFER_QUBITS",
+                               1 if in_place else 64):
+            got = simulate(Circuit(n, ops), StateVector(n, amps))
+        want = _gate_by_gate(n, ops, {}, before, fused=False)
+        assert np.max(np.abs(got.amps - want)) < 1e-12
+        assert got.amps.tobytes() == _gate_by_gate(n, ops, {},
+                                                   before).tobytes()
+        assert np.array_equal(amps, before)
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_no_adjacent_pair_keeps_the_gate_bytes(self, in_place, rng):
+        n = 12
+        ops = [GateApp(NAMED, (7,), name="h"),
+               GateApp(UNITARY, (0,), matrix=random_unitary(2, rng)),
+               GateApp(NAMED, (11,), name="h"),
+               GateApp(NAMED, (2,), name="h"),
+               GateApp(UNITARY, (9,), matrix=random_unitary(2, rng))]
+        amps = random_state(n, rng)
+        assert _layer_targets(ops) == [(7,), (0,), (11,), (2,), (9,)]
+        with mock.patch.object(qckit.circuit, "_ONE_BUFFER_QUBITS",
+                               1 if in_place else 64):
+            got = simulate(Circuit(n, ops), StateVector(n, amps))
+        want = _gate_by_gate(n, ops, {}, amps, fused=False)
+        assert got.amps.tobytes() == want.tobytes()
+
+    def test_blocks(self, rng):
+        # sorted qubits cut greedily from the lowest into blocks of at
+        # most 5; a repeated qubit or any other gate ends the layer
+        h = GateApp(NAMED, (0,), name="h").matrix
+        cores = {q: random_unitary(2, rng) for q in (9, 3, 12, 0, 6, 1)}
+        ops = [GateApp(UNITARY, (q,), matrix=core)
+               for q, core in cores.items()]
+        ops += [GateApp(NAMED, (q,), name="h") for q in (2, 4, 5, 11)]
+        cores.update({q: h for q in (2, 4, 5, 11)})
+        calls = list(qckit.circuit._calls(ops))
+        assert [call[1] for call in calls] == [
+            (0, 1, 2, 3, 4), (5, 6), (9,), (11, 12)]
+        for core, targets, controls in calls:
+            want = functools.reduce(np.kron, [cores[q] for q in targets])
+            assert core.tobytes() == want.tobytes() and controls == ()
+        ops = [GateApp(NAMED, (q,), name="h") for q in (0, 1, 0)]
+        ops += [GateApp(NAMED, (2,), name="h"), GateApp(NAMED, (3,), name="x"),
+                GateApp(NAMED, (4,), name="h"),
+                GateApp(NAMED, (5,), name="t"), GateApp(NAMED, (6,), name="h"),
+                GateApp(NAMED, (7, 8), name="cx"),
+                GateApp(NAMED, (9,), name="h")]
+        assert _layer_targets(ops) == [(0, 1), (0,), (2,), (3,), (4,), (6,),
+                                       (8,), (9,)]
 
 
 @st.composite
@@ -584,7 +693,12 @@ class TestFusedPhases:
             got = simulate(Circuit(n, ops), StateVector(n, amps))
         want = _gate_by_gate(n, ops, {}, before, fused=False)
         assert np.max(np.abs(got.amps - want)) < 1e-12
-        assert apply.call_count == sum(_phase_of(op) is None for op in ops)
+        # no diagonal run reaches the kernel, and a layer's blocks do
+        cores = [call.args[1] for call in apply.call_args_list]
+        assert all(_phase_of(core) is None for core in cores)
+        assert apply.call_count == sum(
+            not isinstance(call, list)
+            for call in qckit.circuit._calls(ops))
         assert np.array_equal(amps, before)
 
     def test_table_size_splits_a_run(self):

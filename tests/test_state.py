@@ -398,10 +398,10 @@ def _dense_gate(n, targets, controls, seed):
 
 
 def _core(name, rng):
-    """A named gate's core, or a random dense 2-target core ("dense2"), or
-    a random 4-target permutation core ("perm4"), signed ("signed4")."""
-    if name == "dense2":
-        return random_unitary(4, rng)
+    """A named gate's core, or a random dense k-target core ("dense<k>"),
+    or a random 4-target permutation core ("perm4"), signed ("signed4")."""
+    if name.startswith("dense"):
+        return random_unitary(2 ** int(name[5:]), rng)
     if name in ("perm4", "signed4"):
         core = _signed_permutation_core(rng, 4, False)
         if name == "signed4":  # one factor -i, so not every factor is 1
@@ -425,7 +425,7 @@ class TestFormTable:
         (10, "x", [9], [], "_kron_rows"),
         (10, "x", [0], [], "_move"),
         (10, "swap", [0, 1], [], "_move"),
-        (10, "dense2", [0, 1], [], "_contract"),
+        (10, "dense2", [0, 1], [], "_columns"),
         (10, "perm4", [6, 7, 8, 9], [], "_gather"),
         (8, "x", [0], [2, 3, 4, 5, 6, 7], "_contract"),  # narrow slice
         (10, "perm4", [9, 3, 7, 5], [1], "_gather"),  # control before rows
@@ -433,6 +433,15 @@ class TestFormTable:
         (10, "swap", [8, 9], [0, 2, 5], "_gather"),
         (10, "signed4", [6, 7, 8, 9], [], "_contract"),  # not all 1
         (8, "swap", [6, 7], [0, 1, 2, 3, 4], "_contract"),  # narrow slice
+        # sorted adjacent targets: u @ (2**k, R) on rows of 2**k * R >= 128
+        # amplitudes, else kron rows, unless the state is one row
+        (10, "dense3", [2, 3, 4], [], "_columns"),
+        (12, "dense5", [0, 1, 2, 3, 4], [11], "_columns"),
+        (10, "dense3", [6, 7, 8], [], "_kron_rows"),
+        (10, "dense5", [4, 5, 6, 7, 8], [2, 9], "_kron_rows"),
+        (6, "dense2", [0, 1], [], "_contract"),  # one row of 64
+        (10, "dense2", [1, 0], [], "_contract"),  # not sorted
+        (10, "dense2", [3, 5], [], "_contract"),  # not adjacent
     ])
     @pytest.mark.parametrize("in_place", [False, True])
     def test_form(self, n, core, targets, controls, form, in_place, rng):
@@ -449,6 +458,34 @@ class TestFormTable:
         assert [name for name, b in builders.items() if b.called] == [form]
         assert _same_bits(got.amps, _tensordot_reference(psi, u, n, targets,
                                                          controls))
+
+
+class TestAdjacentTargets:
+    """A dense core on k = 2-5 sorted adjacent targets is u @ (2**k, R)
+    columns or kron rows, and gives the tensordot reference's bits on the
+    default BLAS kernel, into `out` and in place, on every layout at 6-14
+    qubits, with no control, one before the targets or one after them."""
+
+    @pytest.mark.parametrize("n", range(6, 15))
+    def test_every_layout(self, n, rng):
+        for k in range(2, 6):
+            for first in range(n - k + 1):
+                targets = list(range(first, first + k))
+                others = [q for q in range(n) if q not in targets]
+                for controls in ([], others[:first][:1],
+                                 others[first:][-1:]):
+                    psi = random_state(n, rng)
+                    psi[rng.random(2 ** n) < 0.3] *= -0.0
+                    core = random_unitary(2 ** k, rng)
+                    want = _tensordot_reference(psi, core, n, targets,
+                                                controls)
+                    for in_place in (False, True):
+                        state = StateVector(n, psi.copy())
+                        got = apply_unitary(
+                            state, core, targets, controls,
+                            out=state.amps if in_place else None)
+                        assert _same_bits(got.amps, want), (
+                            targets, controls, in_place)
 
 
 class TestGather:
@@ -501,28 +538,31 @@ class TestStepCache:
     steps."""
 
     def test_worst_case_memory(self, rng):
-        # the largest steps: gathers over rows of _BLOCK amplitudes, each
-        # keyed by a 32 x 32 core, under the 280 KiB a step that _step's
-        # docstring states
+        # the largest steps: gathers over rows of _BLOCK amplitudes, and
+        # 5-target kron rows with a 64 x 64 block, each keyed by a 32 x 32
+        # core, under the 280 KiB a step that _step's docstring states
         n = 16
         assert 2 ** (n - 1) == qckit.state._BLOCK
         steps = qckit.state._STEPS
         state = basis_state(n, 3)
-        with fresh_steps():
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                for _ in range(steps + 1):
-                    core = _signed_permutation_core(rng, 5, False)
-                    apply_unitary(state, core, [1, 12, 13, 14, 15],
-                                  out=state.amps)
-                held = tracemalloc.get_traced_memory()[0] - start
-            finally:
-                tracemalloc.stop()
-            info = qckit.state._step.cache_info()
-        assert info.currsize == steps and info.hits == 0
-        assert held < steps * 280 * 1024
-        assert held > steps * 8 * qckit.state._BLOCK  # each holds its index
+        gather = ([1, 12, 13, 14, 15],
+                  lambda: _signed_permutation_core(rng, 5, False))
+        kron = ([10, 11, 12, 13, 14], lambda: random_unitary(32, rng))
+        for (targets, draw), floor in ((gather, 8 * qckit.state._BLOCK),
+                                       (kron, 16 * 64 * 64)):
+            with fresh_steps():
+                tracemalloc.start()
+                try:
+                    start = tracemalloc.get_traced_memory()[0]
+                    for _ in range(steps + 1):
+                        apply_unitary(state, draw(), targets, out=state.amps)
+                    held = tracemalloc.get_traced_memory()[0] - start
+                finally:
+                    tracemalloc.stop()
+                info = qckit.state._step.cache_info()
+            assert info.currsize == steps and info.hits == 0
+            assert held < steps * 280 * 1024
+            assert held > steps * floor  # each holds its index or block
 
     def test_same_key_hits_and_large_cores_bypass(self, rng):
         u = random_unitary(4, rng)
